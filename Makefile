@@ -27,10 +27,12 @@ test: build
 	$(GO) test ./...
 
 # The verify tier: static analysis plus the full suite under the race
-# detector. Slower than `make test`; run before merging.
+# detector, and the perfbench module, which ./... does not reach (it has
+# its own go.mod). Slower than `make test`; run before merging.
 verify: build
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # End-to-end daemon smoke: start leakd on a temp store, run a sweep over
 # HTTP, require the warm resubmit to be 100% store hits, SIGTERM-drain.
@@ -56,7 +58,7 @@ smoke-security:
 # kill -9 mid-sweep, restart-recovery, GC reclamation, bit-identical
 # results vs a fault-free reference). See DESIGN.md §11.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestFault|TestGC|TestQuarantine|TestHub|TestSSE|TestPanic|TestSweepWatchdog|TestDegraded|TestHealthz|TestBreaker|TestRetry' ./internal/store/ ./internal/server/... ./internal/harness/faultinject/
+	$(GO) test -race -run 'TestChaos|TestFault|TestGC|TestQuarantine|TestHub|TestSSE|TestPanic|TestSweepWatchdog|TestDegraded|TestHealthz|TestBreaker|TestRetry|TestFrontEnds' ./internal/store/ ./internal/server/... ./internal/cluster/ ./internal/harness/faultinject/
 	./scripts/chaos_smoke.sh
 
 bench: bench-throughput bench-sweep

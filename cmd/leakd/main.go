@@ -17,11 +17,17 @@
 // leakage-vs-savings frontier from a daemon.
 //
 // Cluster mode: `leakd -coordinator -cluster w1:8081,w2:8082,w3:8083` runs
-// the coordinator — same HTTP surface, sweeps sharded across the listed
-// workers on a consistent-hash ring, with work stealing and re-sharding on
-// worker death. Workers started with `-peer http://coordinator:8080` consult
-// the coordinator's federated store view before simulating a missed cell.
+// the same server — same HTTP surface, admission, watchdog, fault plane,
+// telemetry and drain — with the ring-sharded executor in place of the
+// in-process one: cells shard across the listed workers on a
+// consistent-hash ring, with work stealing and re-sharding on worker
+// death. Workers started with `-peer http://coordinator:8080` consult the
+// coordinator's federated store view before simulating a missed cell.
 // See DESIGN.md §13.
+//
+// Most flags apply in both modes. -workers, -run-timeout, -max-retries
+// and -peer configure the in-process executor only; -cluster and
+// -shard-retries configure the cluster executor only.
 //
 // The store is garbage-collected in the background when a policy is set:
 // -store-ttl expires records by age, -store-max-bytes bounds the store by
@@ -40,13 +46,11 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
-
-	"strings"
 
 	"hotleakage/internal/cluster"
 	"hotleakage/internal/harness/faultinject"
@@ -67,14 +71,14 @@ func run() error {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		storeDir     = flag.String("store", "", "result store directory (required)")
-		workers      = flag.Int("workers", 0, "harness workers per sweep (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "in-process only: harness workers per sweep (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue", 16, "queued sweeps per priority class before 429")
 		sweeps       = flag.Int("sweeps", 1, "sweeps executing concurrently")
 		maxCells     = flag.Int("max-cells", 4096, "cells per sweep before 400")
 		instructions = flag.Uint64("n", 1_000_000, "default measured instructions per cell")
 		warmup       = flag.Uint64("warmup", 300_000, "default warmup instructions per cell")
-		runTimeout   = flag.Duration("run-timeout", 0, "per-cell deadline (0 = none)")
-		maxRetries   = flag.Int("max-retries", 2, "per-cell retry budget")
+		runTimeout   = flag.Duration("run-timeout", 0, "in-process only: per-cell deadline (0 = none)")
+		maxRetries   = flag.Int("max-retries", 2, "in-process only: per-cell retry budget")
 		sweepTimeout = flag.Duration("sweep-timeout", 0, "watchdog: whole-sweep deadline, canceled and failed past it (0 = none)")
 		storeTTL     = flag.Duration("store-ttl", 0, "GC: expire store records older than this (0 = keep forever)")
 		storeMaxB    = flag.Int64("store-max-bytes", 0, "GC: evict oldest records beyond this store size (0 = unbounded)")
@@ -83,10 +87,10 @@ func run() error {
 		drainWait    = flag.Duration("drain", 30*time.Second, "max graceful drain on SIGTERM")
 		telemetry    = flag.String("telemetry", "", "append JSONL trace events to this file")
 		retention    = flag.Duration("retention", 0, "evict terminal sweeps from memory this long after they finish (0 = keep forever)")
-		coordinator  = flag.Bool("coordinator", false, "run as cluster coordinator instead of a worker (requires -cluster)")
-		clusterList  = flag.String("cluster", "", "comma-separated worker addresses for -coordinator mode")
-		peerURL      = flag.String("peer", "", "worker mode: coordinator URL for the federated store view (cells missed locally are fetched before simulating)")
-		shardRetries = flag.Int("shard-retries", 2, "coordinator mode: re-dispatch attempts per shard after worker deaths")
+		coordinator  = flag.Bool("coordinator", false, "resolve sweeps by sharding them over the -cluster workers instead of simulating in-process")
+		clusterList  = flag.String("cluster", "", "cluster only: comma-separated worker addresses for -coordinator")
+		peerURL      = flag.String("peer", "", "in-process only: coordinator URL for the federated store view (cells missed locally are fetched before simulating)")
+		shardRetries = flag.Int("shard-retries", 2, "cluster only: re-dispatch attempts per shard after worker deaths")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -118,73 +122,55 @@ func run() error {
 		logger.Printf("store: skipped %d corrupt record(s) while indexing %s", n, *storeDir)
 	}
 
-	// handler/shutdown abstract over the two modes: a worker daemon or the
-	// cluster coordinator, which shares the listener, GC and drain plumbing.
-	var handler http.Handler
-	var shutdown func(context.Context) error
-
+	// One server for both modes; -coordinator only swaps the executor
+	// that resolves admitted sweeps.
+	cfg := server.Config{
+		Store:               st,
+		Workers:             *workers,
+		QueueDepth:          *queueDepth,
+		SweepConcurrency:    *sweeps,
+		MaxCells:            *maxCells,
+		DefaultInstructions: *instructions,
+		DefaultWarmup:       *warmup,
+		RunTimeout:          *runTimeout,
+		MaxRetries:          *maxRetries,
+		SweepTimeout:        *sweepTimeout,
+		Plane:               plane,
+		Retention:           *retention,
+		Log:                 logger,
+	}
 	if *coordinator {
-		if *clusterList == "" {
-			return fmt.Errorf("-coordinator requires -cluster with at least one worker address")
-		}
 		var workerAddrs []string
 		for _, a := range strings.Split(*clusterList, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				workerAddrs = append(workerAddrs, a)
 			}
 		}
-		coord, err := cluster.New(cluster.Config{
-			Workers:             workerAddrs,
-			Store:               st,
-			ShardRetries:        *shardRetries,
-			QueueDepth:          *queueDepth,
-			MaxCells:            *maxCells,
-			SweepConcurrency:    *sweeps,
-			DefaultInstructions: *instructions,
-			DefaultWarmup:       *warmup,
-			Retention:           *retention,
-			Log:                 logger,
-		})
+		if len(workerAddrs) == 0 {
+			return fmt.Errorf("-coordinator requires -cluster with at least one worker address")
+		}
+		coord, err := cluster.New(cluster.Config{Workers: workerAddrs, ShardRetries: *shardRetries})
 		if err != nil {
 			return err
 		}
-		handler = coord.Handler()
-		shutdown = coord.Shutdown
+		cfg.Executor = coord
 		logger.Printf("leakd: coordinator over %d workers: %s", len(workerAddrs), strings.Join(workerAddrs, ", "))
-	} else {
-		cfg := server.Config{
-			Store:               st,
-			Workers:             *workers,
-			QueueDepth:          *queueDepth,
-			SweepConcurrency:    *sweeps,
-			MaxCells:            *maxCells,
-			DefaultInstructions: *instructions,
-			DefaultWarmup:       *warmup,
-			RunTimeout:          *runTimeout,
-			MaxRetries:          *maxRetries,
-			SweepTimeout:        *sweepTimeout,
-			Plane:               plane,
-			Retention:           *retention,
-			Log:                 logger,
-		}
-		if *peerURL != "" {
-			cfg.Peer = api.NewClient(*peerURL)
-			logger.Printf("leakd: federating store misses through %s", *peerURL)
-		}
-		if *telemetry != "" {
-			f, err := os.OpenFile(*telemetry, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			cfg.Events = obs.NewTraceWriter(f)
-		}
-		srv, err := server.New(cfg)
+	}
+	if *peerURL != "" {
+		cfg.Peer = api.NewClient(*peerURL)
+		logger.Printf("leakd: federating store misses through %s", *peerURL)
+	}
+	if *telemetry != "" {
+		f, err := os.OpenFile(*telemetry, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
-		handler = srv.Handler()
-		shutdown = srv.Shutdown
+		defer f.Close()
+		cfg.Events = obs.NewTraceWriter(f)
+	}
+	srv, err := server.New(cfg)
+	if err != nil {
+		return err
 	}
 
 	// Background GC: pace-limited passes under the configured policy. The
@@ -221,7 +207,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	hs := obs.HardenedServer(handler)
+	hs := obs.HardenedServer(srv.Handler())
 	go func() { _ = hs.Serve(ln) }()
 	logger.Printf("leakd: listening on http://%s, store %s (%d cells)",
 		ln.Addr(), *storeDir, st.Len())
@@ -235,7 +221,7 @@ func run() error {
 	close(gcStop)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
-	if err := shutdown(dctx); err != nil {
+	if err := srv.Shutdown(dctx); err != nil {
 		logger.Printf("leakd: %v", err)
 	}
 	obs.Shutdown(hs)

@@ -29,8 +29,10 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
-// startWorker spins up one real leakd worker over a fresh store.
-func startWorker(t *testing.T, cfg server.Config) (*httptest.Server, *store.Store) {
+// startServer runs a daemon over cfg (a fresh store, two harness workers
+// and the test budget where unset) behind an httptest server, drained at
+// cleanup.
+func startServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Store == nil {
 		cfg.Store = openStore(t, t.TempDir())
@@ -53,6 +55,16 @@ func startWorker(t *testing.T, cfg server.Config) (*httptest.Server, *store.Stor
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	})
+	return srv, ts
+}
+
+// startWorker spins up one real leakd worker over a fresh store.
+func startWorker(t *testing.T, cfg server.Config) (*httptest.Server, *store.Store) {
+	t.Helper()
+	if cfg.Store == nil {
+		cfg.Store = openStore(t, t.TempDir())
+	}
+	_, ts := startServer(t, cfg)
 	return ts, cfg.Store
 }
 
@@ -65,32 +77,26 @@ func fastDial(addr string) *api.Client {
 	return c
 }
 
-// startCoordinator builds a coordinator over the given worker URLs.
-func startCoordinator(t *testing.T, workerURLs []string, mutate func(*Config)) (*Coordinator, *httptest.Server, *store.Store) {
+// startCoordinator builds a cluster front end over the given worker URLs:
+// a server whose executor is a coordinator over those workers, its config
+// adjusted by mutate when non-nil.
+func startCoordinator(t *testing.T, workerURLs []string, mutate func(*server.Config)) (*Coordinator, *httptest.Server, *store.Store) {
 	t.Helper()
-	st := openStore(t, t.TempDir())
-	cfg := Config{
-		Workers:             workerURLs,
-		Store:               st,
-		DefaultInstructions: testInstr,
-		DefaultWarmup:       testWarmup,
-		Dial:                fastDial,
-	}
+	cfg := server.Config{Store: openStore(t, t.TempDir()), Executor: newCoordinator(t, workerURLs)}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	coord, err := New(cfg)
+	_, ts := startServer(t, cfg)
+	return cfg.Executor.(*Coordinator), ts, cfg.Store
+}
+
+func newCoordinator(t *testing.T, workerURLs []string) *Coordinator {
+	t.Helper()
+	coord, err := New(Config{Workers: workerURLs, Dial: fastDial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(coord.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = coord.Shutdown(ctx)
-	})
-	return coord, ts, st
+	return coord
 }
 
 func testSweep() api.SweepRequest {
@@ -351,30 +357,5 @@ func TestClusterFederation(t *testing.T) {
 	// The peer hit was persisted locally: next time it is a purely local hit.
 	if _, ok, err := freshStore.Get(hash); err != nil || !ok {
 		t.Errorf("federated hit not persisted to local store (ok=%v err=%v)", ok, err)
-	}
-}
-
-// TestCoordinatorAliasing: identical in-flight requests alias to one
-// sweep, the same idempotency contract the single-node daemon gives.
-func TestCoordinatorAliasing(t *testing.T) {
-	ts, _ := startWorker(t, server.Config{})
-	_, coordTS, _ := startCoordinator(t, []string{ts.URL}, nil)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	cl := fastDial(coordTS.URL)
-	a, err := cl.SubmitSweep(ctx, testSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cl.SubmitSweep(ctx, testSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !api.Terminal(a.State) && a.ID != b.ID {
-		t.Errorf("identical in-flight requests got distinct sweeps %s and %s", a.ID, b.ID)
-	}
-	if _, err := cl.WaitSweep(ctx, a.ID); err != nil {
-		t.Fatal(err)
 	}
 }

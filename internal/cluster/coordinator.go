@@ -5,21 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
-	"net/http"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"hotleakage/internal/attack"
 	"hotleakage/internal/obs"
+	"hotleakage/internal/server"
 	"hotleakage/internal/server/api"
 	"hotleakage/internal/sim"
-	"hotleakage/internal/store"
-	"hotleakage/internal/stream"
 )
 
 var (
@@ -31,69 +26,34 @@ var (
 	obsWorkersAlive = obs.Default.Gauge(obs.GaugeClusterWorkersAlive)
 )
 
-// Config parameterizes a coordinator. Workers and Store are required.
+// Config parameterizes a coordinator. Workers is required; admission,
+// defaults, the watchdog and everything else HTTP-facing belong to the
+// server.Config the coordinator is mounted in.
 type Config struct {
 	// Workers lists the worker daemons' addresses ("host:port" or URLs).
 	Workers []string
-	// Store is the coordinator's content-addressed store: every acked cell
-	// lands here, and it is the first stop for both sweep resolution and
-	// the federated /v1/cells read path the workers consult.
-	Store *store.Store
-	// Replicas is the ring's virtual-point count per worker (default 128).
-	Replicas int
 	// ShardRetries caps how many times one shard's cells are re-dispatched
 	// after worker deaths before the cells are failed (default 2).
 	ShardRetries int
-	// QueueDepth caps admitted-but-unfinished sweeps (default 16); beyond
-	// it submissions get 429 + Retry-After, exactly like a worker.
-	QueueDepth int
-	// MaxCells caps cells per sweep (default 4096).
-	MaxCells int
-	// SweepConcurrency is how many sweeps shard out at once (default 2:
-	// the coordinator mostly waits on workers).
-	SweepConcurrency int
-	// DefaultInstructions/DefaultWarmup fill zero-valued requests; they
-	// must match the workers' so content addresses agree (both default to
-	// the same 1M/300K the server uses).
-	DefaultInstructions uint64
-	DefaultWarmup       uint64
-	// RetryAfter is the backoff hint attached to 429s (default 5s).
-	RetryAfter time.Duration
-	// Retention bounds how long terminal sweeps stay queryable, as on the
-	// worker (0 = keep forever).
-	Retention time.Duration
 	// Dial builds the per-worker client (default api.NewClient, which
 	// carries the retry policy and circuit breaker).
 	Dial func(addr string) *api.Client
-	// Log receives operational lines; nil discards them.
-	Log *log.Logger
 }
 
-// Coordinator is the cluster front end. Build with New, mount Handler,
-// stop with Shutdown. Its HTTP surface is wire-compatible with a single
-// worker's, so api.Client and leakbench -remote work against it unchanged.
+// Coordinator is the ring-sharded server.Executor: it resolves a sweep's
+// cells through the server's store, shards the rest over the workers and
+// acks every produced cell back into that store. Mounted as the executor
+// of a server.Server, the cluster serves the single-worker HTTP surface,
+// so api.Client and leakbench -remote work against it unchanged.
 type Coordinator struct {
 	cfg  Config
 	ring *Ring
-	mux  *http.ServeMux
 
 	workers map[string]*worker
 
-	sem  chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	rootCtx    context.Context
-	rootCancel context.CancelFunc
-
-	mu       sync.Mutex
-	draining bool
-	seq      int
-	inflight int
-	sweeps   map[string]*csweep
-	byHash   map[string]*csweep
-	degraded []string
-	costs    map[string]float64 // EWMA ns/instr by bench+"/"+technique
+	costsOnce sync.Once
+	mu        sync.Mutex
+	costs     map[string]float64 // EWMA ns/instr by bench+"/"+technique
 }
 
 // worker is one member daemon.
@@ -122,358 +82,171 @@ func (w *worker) markDead() bool {
 	return true
 }
 
-// csweep is one admitted cluster sweep. Cells of both kinds (energy and
-// attack) live in wire form: api.Cell carries everything the shard
-// scheduler needs, and shards ship to workers verbatim, so the
-// coordinator never branches on kind outside hashing and key derivation.
-type csweep struct {
-	id           string
-	reqHash      string
-	priority     string
-	wire         []api.Cell
-	hashes       []string // content address per cell ("" when uncomputable)
-	instructions uint64
-	warmup       uint64
-	ctx          context.Context
-	cancel       context.CancelFunc
-	hub          *stream.Hub
-
-	mu       sync.Mutex
-	state    string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	// per-cell terminal outcomes: done[i] true means acked (value in the
-	// coordinator store or served from it); failed[i] carries the error.
-	done   []bool
-	failed []string
-	// aggregated counters: coordinator store hits plus worker tallies.
-	executed, storeHits, resumed int
-	errMsg, degradedMsg          string
-}
-
 // New builds a coordinator over cfg and connects its worker clients.
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.Store == nil {
-		return nil, errors.New("cluster: Config.Store is required")
-	}
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("cluster: Config.Workers is empty")
 	}
-	cfg = withDefaults(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
+	if cfg.ShardRetries <= 0 {
+		cfg.ShardRetries = 2
+	}
+	if cfg.Dial == nil {
+		cfg.Dial = api.NewClient
+	}
 	c := &Coordinator{
-		cfg:        cfg,
-		ring:       NewRing(cfg.Replicas),
-		workers:    make(map[string]*worker, len(cfg.Workers)),
-		sem:        make(chan struct{}, cfg.SweepConcurrency),
-		stop:       make(chan struct{}),
-		rootCtx:    ctx,
-		rootCancel: cancel,
-		sweeps:     make(map[string]*csweep),
-		byHash:     make(map[string]*csweep),
-		costs:      make(map[string]float64),
+		cfg:     cfg,
+		ring:    NewRing(DefaultReplicas),
+		workers: make(map[string]*worker, len(cfg.Workers)),
+		costs:   make(map[string]float64),
 	}
 	for _, addr := range cfg.Workers {
 		if _, dup := c.workers[addr]; dup {
-			cancel()
 			return nil, fmt.Errorf("cluster: duplicate worker %q", addr)
 		}
 		c.workers[addr] = &worker{addr: addr, client: cfg.Dial(addr)}
 		c.ring.Add(addr)
 	}
 	obsWorkersAlive.Set(int64(len(c.workers)))
-	// Warm the shard scheduler's cost model from the store's meta segment,
-	// the same EWMA the workers persist.
-	var persisted map[string]float64
-	if ok, err := cfg.Store.GetMeta(sim.CostModelMetaKey, &persisted); err == nil && ok {
-		for k, v := range persisted {
-			if v > 0 {
-				c.costs[k] = v
-			}
-		}
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", c.handleSubmit)
-	mux.HandleFunc("GET /v1/sweeps/{id}", c.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /v1/cells/{hash}", c.handleCell)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.Default.WriteProm(w)
-	})
-	c.mux = mux
-	if cfg.Retention > 0 {
-		c.wg.Add(1)
-		go c.janitor()
-	}
 	return c, nil
 }
 
-func withDefaults(cfg Config) Config {
-	if cfg.ShardRetries <= 0 {
-		cfg.ShardRetries = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.MaxCells <= 0 {
-		cfg.MaxCells = 4096
-	}
-	if cfg.SweepConcurrency <= 0 {
-		cfg.SweepConcurrency = 2
-	}
-	if cfg.DefaultInstructions == 0 {
-		cfg.DefaultInstructions = 1_000_000
-	}
-	if cfg.DefaultWarmup == 0 {
-		cfg.DefaultWarmup = 300_000
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 5 * time.Second
-	}
-	if cfg.Dial == nil {
-		cfg.Dial = api.NewClient
-	}
-	if cfg.Log == nil {
-		cfg.Log = log.New(os.Stderr, "", 0)
-		cfg.Log.SetOutput(discard{})
-	}
-	return cfg
+// csweep is one sweep's dispatch state. Cells of both kinds (energy and
+// attack) travel in wire form: api.Cell carries everything the shard
+// scheduler needs, and shards ship to workers verbatim, so the
+// coordinator never branches on kind outside hashing and key derivation.
+type csweep struct {
+	*server.Job
+	ctx    context.Context
+	hashes []string // content address per cell ("" when uncomputable)
+
+	mu       sync.Mutex
+	executed int    // cells the workers simulated, for the cost model
+	storeErr string // first failed write to the coordinator store
 }
 
-type discard struct{}
+// Run implements server.Executor. It returns a run error when the sweep
+// was canceled or no cell at all could be produced, and a degraded reason
+// when cells were lost to worker deaths or the store refused writes.
+func (c *Coordinator) Run(ctx context.Context, job *server.Job) (string, error) {
+	// Warm the shard scheduler's cost model from the store's meta segment,
+	// the same EWMA the workers persist.
+	c.costsOnce.Do(func() {
+		var persisted map[string]float64
+		if ok, err := job.Store.GetMeta(sim.CostModelMetaKey, &persisted); err == nil && ok {
+			for k, v := range persisted {
+				if v > 0 {
+					c.costs[k] = v
+				}
+			}
+		}
+	})
+	sw := &csweep{Job: job, ctx: ctx, hashes: cellHashes(job)}
+	started := time.Now()
 
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// Handler returns the coordinator's routes.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// janitor mirrors the worker's: terminal sweeps older than Retention are
-// evicted so the lookup maps stay bounded.
-func (c *Coordinator) janitor() {
-	defer c.wg.Done()
-	period := c.cfg.Retention / 4
-	if period < time.Second {
-		period = time.Second
+	// Coordinator store pass: anything any worker ever acked (or a prior
+	// sweep stored) is served without dispatch.
+	pending := make([]int, 0, len(sw.Cells))
+	for i, h := range sw.hashes {
+		if h != "" {
+			if _, ok, err := sw.Store.Get(h); err == nil && ok {
+				sw.Done(i, h)
+				sw.Count(server.Tally{StoreHits: 1})
+				sw.Events.Write(obs.Record{Type: "store_hit", RunID: wireKey(sw.Cells[i])})
+				continue
+			}
+		}
+		pending = append(pending, i)
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-			c.evictExpired(time.Now())
+	if len(pending) > 0 {
+		c.dispatch(sw, pending)
+	}
+	c.foldCostModel(sw, started)
+
+	// Verdict. Worker deaths that re-sharded cleanly leave no trace here;
+	// cells failed by exhausted shard retries make the sweep
+	// degraded-complete (results that could be produced were; the rest are
+	// reported honestly), and per-cell simulation failures mirror the
+	// single-worker contract (completed with failed cells).
+	if ctx.Err() != nil {
+		return "", ctx.Err()
+	}
+	doneN, failedN, deaths := 0, 0, 0
+	var firstFail string
+	for i := range sw.Cells {
+		switch o := sw.Outcome(i); o.State {
+		case "done":
+			doneN++
+		case "failed":
+			failedN++
+			if firstFail == "" {
+				firstFail = o.Error
+			}
+			if isDeathFailure(o.Error) {
+				deaths++
+			}
 		}
 	}
+	if doneN == 0 && failedN == len(sw.Cells) {
+		// Nothing at all could be produced — that is a failed sweep, not
+		// a degraded-complete one.
+		return "", errors.New(firstFail)
+	}
+	sw.mu.Lock()
+	degraded := sw.storeErr
+	sw.mu.Unlock()
+	if deaths > 0 {
+		sw.Degrade("worker deaths exhausted shard retries")
+		if degraded == "" {
+			degraded = fmt.Sprintf("%d cells lost to worker deaths after %d re-dispatch attempts",
+				deaths, c.cfg.ShardRetries)
+		}
+	}
+	return degraded, nil
 }
 
-func (c *Coordinator) evictExpired(now time.Time) int {
-	cutoff := now.Add(-c.cfg.Retention)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for id, sw := range c.sweeps {
-		sw.mu.Lock()
-		expired := api.Terminal(sw.state) && !sw.finished.IsZero() && sw.finished.Before(cutoff)
-		sw.mu.Unlock()
-		if !expired {
-			continue
-		}
-		delete(c.sweeps, id)
-		if c.byHash[sw.reqHash] == sw {
-			delete(c.byHash, sw.reqHash)
-		}
-		n++
-	}
-	return n
-}
-
-// Shutdown drains: new submissions 503, running sweeps' contexts cancel
-// (workers see client-side cancellation; their own durability guarantees
-// hold), and the janitor exits.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	already := c.draining
-	c.draining = true
-	c.mu.Unlock()
-	if !already {
-		close(c.stop)
-	}
-	c.rootCancel()
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("cluster: drain timed out: %w", ctx.Err())
-	}
-}
-
-// noteDegraded records a deduplicated degradation reason for /healthz.
-func (c *Coordinator) noteDegraded(reason string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range c.degraded {
-		if r == reason {
-			return
-		}
-	}
-	if len(c.degraded) < 16 {
-		c.degraded = append(c.degraded, reason)
-	}
-}
-
-// ---- admission ----
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.SweepRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Instructions == 0 {
-		req.Instructions = c.cfg.DefaultInstructions
-	}
-	if req.Warmup == 0 {
-		req.Warmup = c.cfg.DefaultWarmup
-	}
-	specs, attacks, wire, err := api.ExpandCells(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(wire) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep has no cells")
-		return
-	}
-	if len(wire) > c.cfg.MaxCells {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep has %d cells, limit is %d", len(wire), c.cfg.MaxCells))
-		return
-	}
-	priority := req.Priority
-	switch priority {
-	case "interactive", "bulk":
-	case "":
-		if len(wire) <= 2 {
-			priority = "interactive"
-		} else {
-			priority = "bulk"
-		}
-	default:
-		httpError(w, http.StatusBadRequest, `priority must be "interactive" or "bulk"`)
-		return
-	}
-	reqHash, err := api.RequestHash(req.Instructions, req.Warmup, wire)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "hash request: "+err.Error())
-		return
-	}
-
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "coordinator is draining")
-		return
-	}
-	// Identical non-terminal request: alias onto the in-flight sweep, the
-	// same idempotency contract the workers give their clients.
-	if prev := c.byHash[reqHash]; prev != nil {
-		prev.mu.Lock()
-		terminal := api.Terminal(prev.state)
-		prev.mu.Unlock()
-		if !terminal {
-			c.mu.Unlock()
-			respondJSON(w, http.StatusOK, c.status(prev, false))
-			return
-		}
-	}
-	if c.inflight >= c.cfg.QueueDepth {
-		c.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(api.RetryAfterSeconds(c.cfg.RetryAfter)))
-		httpError(w, http.StatusTooManyRequests, "coordinator queue is full")
-		return
-	}
-	c.seq++
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if req.TimeoutS > 0 {
-		ctx, cancel = context.WithTimeout(c.rootCtx, time.Duration(req.TimeoutS*float64(time.Second)))
-	} else {
-		ctx, cancel = context.WithCancel(c.rootCtx)
-	}
-	// Content addresses are computed up front (cheap: one SHA-256 of a
-	// small identity document per cell) so hashes is immutable from here —
-	// the ring, the store pass, the ack path and status reads all share it
-	// without coordination. The wire list is energy cells then attack
-	// cells (ExpandCells' contract), so hashes indexes wire directly.
-	hashes := make([]string, len(wire))
-	for i, cs := range specs {
+// cellHashes computes every cell's content address up front (cheap: one
+// SHA-256 of a small identity document per cell), so the ring, the store
+// pass and the ack path share it without coordination. Cells is energy
+// cells then attack cells, so the result indexes Cells directly.
+func cellHashes(job *server.Job) []string {
+	hashes := make([]string, len(job.Cells))
+	for i, cs := range job.Specs {
 		mc := sim.DefaultMachine(cs.L2)
-		mc.Instructions = req.Instructions
-		mc.Warmup = req.Warmup
-		if h, herr := sim.CellHash(mc, cs.Bench, cs.Technique, cs.Interval); herr == nil {
+		mc.Instructions = job.Instructions
+		mc.Warmup = job.Warmup
+		if h, err := sim.CellHash(mc, cs.Bench, cs.Technique, cs.Interval); err == nil {
 			hashes[i] = h
 		}
 	}
-	for j, as := range attacks {
+	for j, as := range job.Attacks {
 		sc, ok := attack.ByName(as.Scenario)
 		if !ok {
 			continue // ExpandCells validated; an unknown name still just dispatches unhashed
 		}
 		// Attack hashes ignore the instruction budget (scenario length is
 		// fixed), so the default machine is the whole identity.
-		if h, herr := sim.AttackHash(sim.DefaultMachine(as.L2), sc, as.Technique, as.Interval); herr == nil {
-			hashes[len(specs)+j] = h
+		if h, err := sim.AttackHash(sim.DefaultMachine(as.L2), sc, as.Technique, as.Interval); err == nil {
+			hashes[len(job.Specs)+j] = h
 		}
 	}
-	sw := &csweep{
-		id:           fmt.Sprintf("c-%06d", c.seq),
-		reqHash:      reqHash,
-		priority:     priority,
-		wire:         wire,
-		hashes:       hashes,
-		instructions: req.Instructions,
-		warmup:       req.Warmup,
-		ctx:          ctx,
-		cancel:       cancel,
-		hub:          stream.NewHub(),
-		state:        api.StateQueued,
-		created:      time.Now(),
-		done:         make([]bool, len(wire)),
-		failed:       make([]string, len(wire)),
-	}
-	c.inflight++
-	c.sweeps[sw.id] = sw
-	c.byHash[reqHash] = sw
-	c.mu.Unlock()
-
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		select {
-		case c.sem <- struct{}{}:
-			defer func() { <-c.sem }()
-			c.runSweep(sw)
-		case <-c.stop:
-			c.finish(sw, api.StateCanceled, "coordinator draining")
-		}
-		c.mu.Lock()
-		c.inflight--
-		c.mu.Unlock()
-	}()
-	respondJSON(w, http.StatusAccepted, c.status(sw, false))
+	return hashes
 }
 
-// ---- sweep execution ----
+// FetchCell implements sim.CellFetcher over the live workers: the
+// fallback of the coordinator's GET /v1/cells when its own store misses.
+// Workers answer from their local store only, so there is no recursion.
+func (c *Coordinator) FetchCell(ctx context.Context, hash string) (json.RawMessage, bool, error) {
+	for _, addr := range c.ring.Nodes() {
+		w := c.workers[addr]
+		if w == nil || w.isDead() {
+			continue
+		}
+		if val, hit, err := w.client.FetchCell(ctx, hash); err == nil && hit {
+			return val, true, nil
+		}
+	}
+	return nil, false, nil
+}
 
 // shardGroup is the dispatch atom: one (workload, L2) slice of the sweep —
 // exactly the grouping the workers' lockstep batch phase wants, so a
@@ -484,84 +257,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 type shardGroup struct {
 	bench    string
 	l2       int
-	idxs     []int  // indices into csweep.wire
+	idxs     []int  // indices into csweep.Cells
 	key      string // ring position: the group's smallest cell hash
 	attempts int
-}
-
-func (c *Coordinator) runSweep(sw *csweep) {
-	sw.mu.Lock()
-	sw.state = api.StateRunning
-	sw.started = time.Now()
-	sw.mu.Unlock()
-	sw.hub.Write(obs.Record{Type: "sweep_start", RunID: sw.id, Detail: sw.reqHash})
-	c.cfg.Log.Printf("leakd-coord: sweep %s running (%d cells over %d workers)",
-		sw.id, len(sw.wire), c.ring.Len())
-
-	// Coordinator store pass: anything any worker ever acked (or a prior
-	// sweep stored) is served without dispatch.
-	pending := make([]int, 0, len(sw.wire))
-	for i := range sw.wire {
-		h := sw.hashes[i]
-		if h != "" {
-			if _, ok, err := c.cfg.Store.Get(h); err == nil && ok {
-				sw.mu.Lock()
-				sw.done[i] = true
-				sw.storeHits++
-				sw.mu.Unlock()
-				sw.hub.Write(obs.Record{Type: "store_hit", RunID: wireKey(sw.wire[i])})
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-
-	if len(pending) > 0 {
-		c.dispatch(sw, pending)
-	}
-
-	// Verdict. Worker deaths that re-sharded cleanly leave no trace here;
-	// cells failed by exhausted shard retries make the sweep
-	// degraded-complete (results that could be produced were; the rest are
-	// reported honestly), and per-cell simulation failures mirror the
-	// single-worker contract (completed with failed cells).
-	state := api.StateCompleted
-	var msg, degradedMsg string
-	if sw.ctx.Err() != nil {
-		state, msg = api.StateCanceled, sw.ctx.Err().Error()
-	} else {
-		sw.mu.Lock()
-		doneN, failedN, deaths := 0, 0, 0
-		var firstFail string
-		for i := range sw.failed {
-			if sw.done[i] {
-				doneN++
-				continue
-			}
-			if sw.failed[i] != "" {
-				failedN++
-				if firstFail == "" {
-					firstFail = sw.failed[i]
-				}
-				if isDeathFailure(sw.failed[i]) {
-					deaths++
-				}
-			}
-		}
-		sw.mu.Unlock()
-		switch {
-		case doneN == 0 && failedN == len(sw.wire) && failedN > 0:
-			// Nothing at all could be produced — that is a failed sweep,
-			// not a degraded-complete one.
-			state, msg = api.StateFailed, firstFail
-		case deaths > 0:
-			degradedMsg = fmt.Sprintf("%d cells lost to worker deaths after %d re-dispatch attempts",
-				deaths, c.cfg.ShardRetries)
-			c.noteDegraded("worker deaths exhausted shard retries")
-		}
-	}
-	c.foldCostModel(sw)
-	c.finishWith(sw, state, msg, degradedMsg)
 }
 
 // isDeathFailure distinguishes shard-retry exhaustion from per-cell
@@ -592,7 +290,7 @@ func (c *Coordinator) dispatch(sw *csweep, pending []int) {
 	for _, g := range groups {
 		owner, ok := c.ring.OwnerExcluding(g.key, sc.dead)
 		if !ok {
-			c.failGroup(sw, g, "no live workers")
+			sw.failGroup(g, "no live workers")
 			continue
 		}
 		sc.queues[owner] = append(sc.queues[owner], g)
@@ -630,7 +328,7 @@ func (c *Coordinator) dispatch(sw *csweep, pending []int) {
 	}
 	sc.mu.Unlock()
 	for _, g := range orphans {
-		c.failGroup(sw, g, "no live workers")
+		sw.failGroup(g, "no live workers")
 	}
 }
 
@@ -651,7 +349,7 @@ func (c *Coordinator) groupCells(sw *csweep, pending []int) []*shardGroup {
 	byBL := make(map[string]*shardGroup)
 	var order []string
 	for _, i := range pending {
-		cs := sw.wire[i]
+		cs := sw.Cells[i]
 		name := cs.Bench
 		if cs.Kind == api.KindAttack {
 			name = "attack:" + cs.Scenario
@@ -686,11 +384,11 @@ func (c *Coordinator) estimate(sw *csweep, g *shardGroup) float64 {
 	defer c.mu.Unlock()
 	total := 0.0
 	for _, i := range g.idxs {
-		ns, ok := c.costs[costKey(sw.wire[i])]
+		ns, ok := c.costs[costKey(sw.Cells[i])]
 		if !ok {
 			ns = 500 // prior: ~500 ns simulated per instruction
 		}
-		total += ns * float64(sw.instructions)
+		total += ns * float64(sw.Instructions)
 	}
 	return total
 }
@@ -762,11 +460,11 @@ func (sc *dispatchState) resolveLocked(n int) {
 }
 
 // runGroup dispatches one shard to w as a sub-sweep, pipes its event
-// stream into the sweep's hub, acks each completed cell into the
+// stream into the sweep's events, acks each completed cell into the
 // coordinator store, and on worker death re-shards the unacked remainder.
 func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shardGroup) {
 	obsShards.Add(1)
-	sw.hub.Write(obs.Record{Type: "shard_dispatch", RunID: sw.id,
+	sw.Events.Write(obs.Record{Type: "shard_dispatch", RunID: sw.ID,
 		Detail: fmt.Sprintf("%s/L2=%d (%d cells) -> %s attempt %d", g.bench, g.l2, len(g.idxs), w.addr, g.attempts+1)})
 
 	unacked, died, errMsg := c.runGroupOnce(sw, w, g)
@@ -783,10 +481,9 @@ func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shar
 	if w.markDead() {
 		obsWorkerDeaths.Add(1)
 		obsWorkersAlive.Add(-1)
-		c.noteDegraded("worker " + w.addr + " died")
-		c.cfg.Log.Printf("leakd-coord: worker %s died (%s); re-sharding", w.addr, errMsg)
+		sw.Degrade("worker " + w.addr + " died")
 	}
-	sw.hub.Write(obs.Record{Type: "worker_death", RunID: sw.id, Error: errMsg, Detail: w.addr})
+	sw.Events.Write(obs.Record{Type: "worker_death", RunID: sw.ID, Error: errMsg, Detail: w.addr})
 
 	sc.mu.Lock()
 	sc.dead[w.addr] = true
@@ -798,13 +495,13 @@ func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shar
 		if !ok {
 			sc.outstanding--
 			sc.mu.Unlock()
-			c.failGroup(sw, ng, "no live workers")
+			sw.failGroup(ng, "no live workers")
 			sc.mu.Lock()
 			return
 		}
 		sc.queues[owner] = append(sc.queues[owner], ng)
 		obsReshards.Add(1)
-		sw.hub.Write(obs.Record{Type: "shard_requeued", RunID: sw.id,
+		sw.Events.Write(obs.Record{Type: "shard_requeued", RunID: sw.ID,
 			Detail: fmt.Sprintf("%s/L2=%d (%d cells) -> %s", ng.bench, ng.l2, len(ng.idxs), owner)})
 	}
 
@@ -818,7 +515,7 @@ func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shar
 		if ng.attempts > c.cfg.ShardRetries {
 			sc.outstanding--
 			sc.mu.Unlock()
-			c.failGroup(sw, ng, fmt.Sprintf("worker died (%s); shard retries exhausted", errMsg))
+			sw.failGroup(ng, fmt.Sprintf("worker died (%s); shard retries exhausted", errMsg))
 			sc.mu.Lock()
 		} else {
 			requeue(ng)
@@ -835,41 +532,34 @@ func (c *Coordinator) runGroup(sw *csweep, sc *dispatchState, w *worker, g *shar
 // the transport error message when it is.
 func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacked []int, died bool, errMsg string) {
 	req := api.SweepRequest{
-		Instructions: sw.instructions,
-		Warmup:       sw.warmup,
-		Priority:     sw.priority,
+		Instructions: sw.Instructions,
+		Warmup:       sw.Warmup,
+		Priority:     sw.Priority,
 	}
 	byKey := make(map[string]int, len(g.idxs)) // wire key -> sweep index
 	for _, i := range g.idxs {
-		wc := sw.wire[i]
+		wc := sw.Cells[i]
 		req.Cells = append(req.Cells, wc)
 		byKey[wireKey(wc)] = i
 	}
 
 	st, err := w.client.SubmitSweep(sw.ctx, req)
 	if err != nil {
-		return g.idxs, deathError(sw, err), err.Error()
+		return g.idxs, sw.deathError(err), err.Error()
 	}
 
-	// Pipe the worker's event stream into the sweep's hub live. Worker
-	// sweep_* lifecycle records are dropped (the coordinator owns the
-	// sweep lifecycle); everything else — run_start, run_done, store_hit,
-	// checkpoint_hit — flows through so the client sees per-cell progress
-	// across the whole cluster in one stream.
-	streamCtx, stopStream := context.WithCancel(sw.ctx)
-	defer stopStream()
-	go func() {
-		_ = w.client.StreamEvents(streamCtx, st.ID, func(rec obs.Record) {
-			if strings.HasPrefix(rec.Type, "sweep_") {
-				return
-			}
-			sw.hub.Write(rec)
-		})
-	}()
-
-	final, err := w.client.WaitSweep(sw.ctx, st.ID)
+	// Follow the worker's event stream into the sweep's events until the
+	// shard finishes. Worker sweep_* lifecycle records are dropped (the
+	// server owns the sweep lifecycle); everything else — run_start,
+	// run_done, store_hit, checkpoint_hit — flows through so the client
+	// sees per-cell progress across the whole cluster in one stream.
+	final, err := w.client.WatchSweep(sw.ctx, st.ID, func(rec obs.Record) {
+		if !strings.HasPrefix(rec.Type, "sweep_") {
+			sw.Events.Write(rec)
+		}
+	})
 	if err != nil {
-		return g.idxs, deathError(sw, err), err.Error()
+		return g.idxs, sw.deathError(err), err.Error()
 	}
 	if final.State == api.StateCanceled {
 		if sw.ctx.Err() == nil {
@@ -881,14 +571,13 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 	}
 	if final.State == api.StateFailed {
 		// The worker is alive and answered: the shard failed for real
-		// (watchdog, harness error). Treat it like a death for retry
-		// purposes only if the error smells transient? No — fail honestly.
+		// (watchdog, harness error), so its cells fail honestly.
 		msg := final.Error
 		if msg == "" {
 			msg = "worker sweep failed"
 		}
 		for _, i := range g.idxs {
-			c.failCell(sw, i, msg)
+			sw.Fail(i, sw.hashes[i], msg)
 		}
 		return nil, false, ""
 	}
@@ -898,8 +587,6 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 	// coordinator store (first-write-wins absorbs duplicates from steals
 	// or re-shard races).
 	acked := make(map[int]bool, len(g.idxs))
-	var execd, hits, resumed int
-	execd, hits, resumed = final.Executed, final.StoreHits, final.Resumed
 	for _, cellSt := range final.Cells {
 		i, ok := byKey[wireKey(cellSt.Cell)]
 		if !ok {
@@ -908,7 +595,7 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 		switch {
 		case cellSt.State == "done" && cellSt.Hash != "":
 			if sw.hashes[i] != "" && cellSt.Hash != sw.hashes[i] {
-				c.failCell(sw, i, fmt.Sprintf("worker returned hash %s, coordinator computed %s",
+				sw.Fail(i, sw.hashes[i], fmt.Sprintf("worker returned hash %s, coordinator computed %s",
 					cellSt.Hash, sw.hashes[i]))
 				acked[i] = true // resolved (as a failure); not re-dispatchable
 				continue
@@ -917,38 +604,32 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 			if err != nil {
 				// Transport trouble on the ack fetch: the remainder of the
 				// group re-shards.
-				return remainder(g.idxs, acked), deathError(sw, err), err.Error()
+				return remainder(g.idxs, acked), sw.deathError(err), err.Error()
 			}
-			if perr := c.cfg.Store.Put(rec.Hash, rec.Key, rec.Value); perr != nil {
-				c.noteDegraded("store trouble: " + perr.Error())
+			if perr := sw.Store.Put(rec.Hash, rec.Key, rec.Value); perr != nil {
+				sw.Degrade("store trouble: " + perr.Error())
 				sw.mu.Lock()
-				if sw.degradedMsg == "" {
-					sw.degradedMsg = perr.Error()
+				if sw.storeErr == "" {
+					sw.storeErr = perr.Error()
 				}
 				sw.mu.Unlock()
 			}
-			sw.mu.Lock()
-			sw.done[i] = true
-			sw.failed[i] = ""
-			sw.mu.Unlock()
+			sw.Done(i, cellSt.Hash)
 			acked[i] = true
 			obsCellsAcked.Add(1)
 		case cellSt.State == "failed":
-			c.failCell(sw, i, cellSt.Error)
+			sw.Fail(i, sw.hashes[i], cellSt.Error)
 			acked[i] = true
 		}
 	}
+	sw.Count(server.Tally{Executed: final.Executed, StoreHits: final.StoreHits, Resumed: final.Resumed})
 	sw.mu.Lock()
-	sw.executed += execd
-	sw.storeHits += hits
-	sw.resumed += resumed
+	sw.executed += final.Executed
 	sw.mu.Unlock()
-	if rem := remainder(g.idxs, acked); len(rem) > 0 {
-		// The worker's status omitted cells we sent: account them failed
-		// rather than hanging the shard.
-		for _, i := range rem {
-			c.failCell(sw, i, "worker status omitted this cell")
-		}
+	// The worker's status omitted cells we sent: account them failed
+	// rather than hanging the shard.
+	for _, i := range remainder(g.idxs, acked) {
+		sw.Fail(i, sw.hashes[i], "worker status omitted this cell")
 	}
 	return nil, false, ""
 }
@@ -956,7 +637,7 @@ func (c *Coordinator) runGroupOnce(sw *csweep, w *worker, g *shardGroup) (unacke
 // deathError classifies a dispatch error: our own cancellation is not the
 // worker's fault; anything else (transport errors, 5xx, breaker fast-fail
 // after retries) counts as a death for re-shard purposes.
-func deathError(sw *csweep, err error) bool {
+func (sw *csweep) deathError(err error) bool {
 	if sw.ctx.Err() != nil {
 		return false
 	}
@@ -977,20 +658,9 @@ func remainder(idxs []int, acked map[int]bool) []int {
 	return rem
 }
 
-func (c *Coordinator) failCell(sw *csweep, i int, msg string) {
-	if msg == "" {
-		msg = "cell failed"
-	}
-	sw.mu.Lock()
-	if !sw.done[i] {
-		sw.failed[i] = msg
-	}
-	sw.mu.Unlock()
-}
-
-func (c *Coordinator) failGroup(sw *csweep, g *shardGroup, msg string) {
+func (sw *csweep) failGroup(g *shardGroup, msg string) {
 	for _, i := range g.idxs {
-		c.failCell(sw, i, msg)
+		sw.Fail(i, sw.hashes[i], msg)
 	}
 }
 
@@ -998,25 +668,22 @@ func (c *Coordinator) failGroup(sw *csweep, g *shardGroup, msg string) {
 // worker throughput so the next sweep's shard ordering is informed. The
 // granularity is coarse (sweep wall-clock over executed cells) but
 // self-correcting, like the workers' own model.
-func (c *Coordinator) foldCostModel(sw *csweep) {
+func (c *Coordinator) foldCostModel(sw *csweep, started time.Time) {
 	sw.mu.Lock()
 	executed := sw.executed
-	elapsed := time.Since(sw.started)
 	sw.mu.Unlock()
-	if executed == 0 || sw.instructions == 0 || elapsed <= 0 {
+	elapsed := time.Since(started)
+	if executed == 0 || sw.Instructions == 0 || elapsed <= 0 {
 		return
 	}
-	perCell := float64(elapsed.Nanoseconds()) / float64(executed) / float64(sw.instructions)
+	perCell := float64(elapsed.Nanoseconds()) / float64(executed) / float64(sw.Instructions)
 	const alpha = 0.3
 	c.mu.Lock()
-	for i := range sw.wire {
-		sw.mu.Lock()
-		ok := sw.done[i]
-		sw.mu.Unlock()
-		if !ok {
+	for i, wc := range sw.Cells {
+		if sw.Outcome(i).State != "done" {
 			continue
 		}
-		key := costKey(sw.wire[i])
+		key := costKey(wc)
 		if prev, seen := c.costs[key]; seen {
 			c.costs[key] = (1-alpha)*prev + alpha*perCell
 		} else {
@@ -1028,34 +695,7 @@ func (c *Coordinator) foldCostModel(sw *csweep) {
 		snapshot[k] = v
 	}
 	c.mu.Unlock()
-	_ = c.cfg.Store.PutMeta(sim.CostModelMetaKey, snapshot)
-}
-
-func (c *Coordinator) finish(sw *csweep, state, msg string) {
-	c.finishWith(sw, state, msg, "")
-}
-
-func (c *Coordinator) finishWith(sw *csweep, state, msg, degradedMsg string) {
-	sw.cancel()
-	sw.mu.Lock()
-	sw.state = state
-	sw.finished = time.Now()
-	sw.errMsg = msg
-	if degradedMsg != "" && sw.degradedMsg == "" {
-		sw.degradedMsg = degradedMsg
-	}
-	failed := 0
-	for i := range sw.failed {
-		if !sw.done[i] && sw.failed[i] != "" {
-			failed++
-		}
-	}
-	executed, hits := sw.executed, sw.storeHits
-	sw.mu.Unlock()
-	sw.hub.Write(obs.Record{Type: "sweep_" + state, RunID: sw.id, Error: msg})
-	sw.hub.Close()
-	c.cfg.Log.Printf("leakd-coord: sweep %s %s (executed=%d store_hits=%d failed=%d)",
-		sw.id, state, executed, hits, failed)
+	_ = sw.Store.PutMeta(sim.CostModelMetaKey, snapshot)
 }
 
 // wireKey identifies a wire cell for matching worker statuses to sweep
@@ -1078,162 +718,4 @@ func costKey(wc api.Cell) string {
 		return "attack:" + wc.Scenario + "/" + strings.ToLower(wc.Technique)
 	}
 	return wc.Bench + "/" + strings.ToLower(wc.Technique)
-}
-
-// ---- status & reads ----
-
-func (c *Coordinator) status(sw *csweep, withCells bool) api.SweepStatus {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	st := api.SweepStatus{
-		ID:       sw.id,
-		State:    sw.state,
-		Priority: sw.priority,
-		Created:  sw.created,
-		Total:    len(sw.wire),
-		Error:    sw.errMsg,
-		Degraded: sw.degradedMsg,
-		Executed: sw.executed, StoreHits: sw.storeHits, Resumed: sw.resumed,
-	}
-	if !sw.started.IsZero() {
-		t := sw.started
-		st.Started = &t
-	}
-	if !sw.finished.IsZero() {
-		t := sw.finished
-		st.Finished = &t
-	}
-	for i := range sw.wire {
-		switch {
-		case sw.done[i]:
-			st.Completed++
-		case sw.failed[i] != "" && api.Terminal(sw.state):
-			st.Failed++
-		}
-	}
-	if withCells {
-		for i, wc := range sw.wire {
-			cs := api.CellStatus{Cell: wc, Hash: sw.hashes2(i)}
-			switch {
-			case sw.done[i]:
-				cs.State = "done"
-			case sw.failed[i] != "" && api.Terminal(sw.state):
-				cs.State = "failed"
-				cs.Error = sw.failed[i]
-			default:
-				cs.State = "pending"
-			}
-			st.Cells = append(st.Cells, cs)
-		}
-	}
-	return st
-}
-
-// hashes2 is a nil-safe hash lookup (status can race the hash pass).
-func (sw *csweep) hashes2(i int) string {
-	if i < len(sw.hashes) {
-		return sw.hashes[i]
-	}
-	return ""
-}
-
-func (c *Coordinator) lookup(id string) *csweep {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sweeps[id]
-}
-
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	sw := c.lookup(r.PathValue("id"))
-	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
-		return
-	}
-	respondJSON(w, http.StatusOK, c.status(sw, true))
-}
-
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sw := c.lookup(r.PathValue("id"))
-	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
-		return
-	}
-	if err := stream.ServeSSE(w, r, sw.hub); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// handleCell is the federated read path: the coordinator's own store
-// first, then every live worker. A worker hit is persisted locally before
-// serving, so the federation converges toward the coordinator having
-// everything. Workers answer /v1/cells from their local store only, so
-// there is no recursion.
-func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	rec, ok, err := c.cfg.Store.Get(hash)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if ok {
-		respondJSON(w, http.StatusOK, api.CellRecord{Hash: rec.Hash, Key: rec.Key, Value: rec.Value})
-		return
-	}
-	for _, wk := range c.liveWorkers() {
-		val, hit, ferr := wk.client.FetchCell(r.Context(), hash)
-		if ferr != nil || !hit {
-			continue
-		}
-		if perr := c.cfg.Store.Put(hash, nil, json.RawMessage(val)); perr != nil {
-			c.noteDegraded("store trouble: " + perr.Error())
-		}
-		respondJSON(w, http.StatusOK, api.CellRecord{Hash: hash, Value: val})
-		return
-	}
-	httpError(w, http.StatusNotFound, "no such cell")
-}
-
-func (c *Coordinator) liveWorkers() []*worker {
-	out := make([]*worker, 0, len(c.workers))
-	for _, addr := range c.ring.Nodes() {
-		if w := c.workers[addr]; w != nil && !w.isDead() {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	c.mu.Lock()
-	draining := c.draining
-	inflight := c.inflight
-	reasons := append([]string(nil), c.degraded...)
-	c.mu.Unlock()
-	h := api.Health{
-		Status:         "ok",
-		Draining:       draining,
-		Reasons:        reasons,
-		QueueDepth:     inflight,
-		SweepsInFlight: inflight,
-		StoreCells:     c.cfg.Store.Len(),
-	}
-	code := http.StatusOK
-	if len(reasons) > 0 {
-		h.Status = "degraded"
-	}
-	if draining {
-		h.Status = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	respondJSON(w, code, h)
-}
-
-func respondJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	respondJSON(w, code, api.ErrorBody{Error: msg})
 }

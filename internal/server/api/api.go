@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"hotleakage/internal/leakctl"
+	"hotleakage/internal/obs"
 	"hotleakage/internal/sim"
 )
 
@@ -372,8 +373,23 @@ func (c *Client) Sweep(ctx context.Context, id string) (SweepStatus, error) {
 	return st, err
 }
 
-// WaitSweep polls until the sweep reaches a terminal state or ctx expires.
+// WaitSweep blocks until the sweep reaches a terminal state or ctx
+// expires; it is WatchSweep without an event sink.
 func (c *Client) WaitSweep(ctx context.Context, id string) (SweepStatus, error) {
+	return c.WatchSweep(ctx, id, nil)
+}
+
+// WatchSweep waits for a sweep to finish, handing each of its events to
+// sink (nil discards them). It follows the sweep's SSE stream, which the
+// daemon ends only after the sweep is terminal, and then confirms the
+// final state with one GET, so completion is seen when it happens rather
+// than on the next poll. It polls every PollInterval only if the stream
+// fails or ends before the state is terminal.
+func (c *Client) WatchSweep(ctx context.Context, id string, sink func(obs.Record)) (SweepStatus, error) {
+	if sink == nil {
+		sink = func(obs.Record) {}
+	}
+	_ = c.StreamEvents(ctx, id, sink) // on failure, the poll below takes over
 	for {
 		st, err := c.Sweep(ctx, id)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -138,50 +137,6 @@ func TestSweepRetentionEviction(t *testing.T) {
 	if b2 := decodeStatus(t, postSweep(t, s.Handler(), req)); b2.ID != b.ID {
 		t.Errorf("newer alias evicted with the older sweep: got %s, want %s", b2.ID, b.ID)
 	}
-}
-
-// TestJanitorEvicts: the background janitor (started with the executors
-// when Retention is set) evicts on its own, end to end over HTTP.
-func TestJanitorEvicts(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	defer st.Close()
-	cfg := testConfig(t, st)
-	cfg.Retention = 5 * time.Millisecond // janitor ticks at the 1s floor
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hts := httptest.NewServer(srv.Handler())
-	defer hts.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-	cl := api.NewClient(hts.URL)
-	cl.PollInterval = 5 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	sw, err := cl.SubmitSweep(ctx, api.SweepRequest{
-		Instructions: testInstr, Warmup: testWarmup,
-		Cells: []api.Cell{{Bench: "gzip", L2: 11, Technique: "drowsy", Interval: 4096}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, cl, sw.ID)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := cl.Sweep(ctx, sw.ID); err != nil {
-			var se *api.StatusError
-			if errors.As(err, &se) && se.Code == http.StatusNotFound {
-				return // evicted
-			}
-			t.Fatal(err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatal("janitor never evicted the terminal sweep")
 }
 
 // TestQueueDepthGaugeBalanced audits the queue-depth gauge across every

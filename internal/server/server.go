@@ -1,10 +1,12 @@
-// Package server is leakd's core: an HTTP/JSON facade over the simulation
-// harness with a content-addressed result store behind it. Sweeps are
-// submitted as cell sets, admitted into a bounded dual-priority queue
-// (interactive requests overtake bulk sweeps), executed on the existing
-// harness worker pool with per-sweep checkpoints, and resolved through the
-// store first so repeated or overlapping sweeps simulate only the delta.
-// Progress streams out over SSE as the harness's own trace events.
+// Package server is leakd's core: the HTTP/JSON front end over a
+// content-addressed result store. Sweeps are submitted as cell sets,
+// admitted into a bounded dual-priority queue (interactive requests
+// overtake bulk sweeps) and handed to an Executor: by default this
+// process's harness worker pool with per-sweep checkpoints, or in cluster
+// mode a ring-sharded fleet of workers. Either way the cells resolve
+// through the store first, so repeated or overlapping sweeps simulate
+// only the delta, and progress streams out over SSE as the harness's own
+// trace events.
 package server
 
 import (
@@ -14,7 +16,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -48,18 +49,23 @@ var (
 type Config struct {
 	// Store is the content-addressed result store backing the daemon.
 	Store *store.Store
+	// Executor resolves admitted sweeps (nil = the in-process executor
+	// over this process's harness, configured by Workers, RunTimeout,
+	// MaxRetries and Peer; those four fields apply to it alone).
+	Executor Executor
 	// Workers sizes each sweep's harness pool (0 = GOMAXPROCS).
 	Workers int
 	// QueueDepth caps each priority class's wait queue (default 16);
 	// submissions beyond it are rejected with 429 + Retry-After.
 	QueueDepth int
 	// SweepConcurrency is how many sweeps execute at once (default 1; the
-	// harness pool already parallelizes within a sweep).
+	// executor already parallelizes within a sweep).
 	SweepConcurrency int
 	// MaxCells caps cells per sweep (default 4096); larger requests are 400s.
 	MaxCells int
 	// DefaultInstructions/DefaultWarmup fill zero-valued requests
-	// (defaults 1M/300K, the reduced-scale paper budget).
+	// (defaults 1M/300K, the reduced-scale paper budget). A coordinator
+	// and its workers must agree on them so content addresses agree.
 	DefaultInstructions uint64
 	DefaultWarmup       uint64
 	// RunTimeout and MaxRetries pass through to the harness per run.
@@ -67,8 +73,8 @@ type Config struct {
 	MaxRetries int
 	// SweepTimeout is the watchdog: a sweep running longer than this is
 	// canceled and marked failed (0 = no watchdog). The cancellation
-	// propagates through the harness, so in-flight cells drain and
-	// completed cells stay checkpointed and stored.
+	// propagates through the executor, so in-flight cells drain and
+	// completed cells stay stored.
 	SweepTimeout time.Duration
 	// Plane, when non-nil, injects faults into request handling (the
 	// server.handler site) and sweep execution (server.sweep) — chaos
@@ -97,12 +103,11 @@ type Config struct {
 
 // Server is the daemon. Build with New, mount Handler, stop with Shutdown.
 type Server struct {
-	cfg    Config
-	traces *sim.TraceCache
-	mux    *http.ServeMux
+	cfg Config
+	mux *http.ServeMux
 
-	interactive chan *sweep
-	bulk        chan *sweep
+	interactive chan *Job
+	bulk        chan *Job
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
@@ -112,44 +117,12 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	seq      int
-	sweeps   map[string]*sweep
-	byHash   map[string]*sweep // request hash -> most recent sweep
+	sweeps   map[string]*Job
+	byHash   map[string]*Job // request hash -> most recent sweep
 	// degraded holds deduplicated reasons the daemon is limping (store
-	// trouble on otherwise-successful sweeps, isolated panics); /healthz
-	// reports them under status "degraded".
+	// trouble on otherwise-successful sweeps, isolated panics, worker
+	// deaths); /healthz reports them under status "degraded".
 	degraded []string
-}
-
-// sweep is one admitted request moving through queued -> running ->
-// {completed, failed, canceled}.
-type sweep struct {
-	id           string
-	reqHash      string
-	priority     string
-	cells        []sim.CellSpec
-	attacks      []sim.AttackSpec
-	wire         []api.Cell
-	instructions uint64
-	warmup       uint64
-	ctx          context.Context
-	cancel       context.CancelFunc
-	hub          *stream.Hub
-
-	mu             sync.Mutex
-	state          string
-	created        time.Time
-	started        time.Time
-	finished       time.Time
-	exp            *sim.Experiments // live counters while running
-	outcomes       []sim.CellOutcome
-	attackOutcomes []sim.AttackOutcome
-	errMsg         string
-	// degradedMsg marks a sweep that completed with results intact but
-	// with infrastructure trouble (store writes failing): the work is
-	// done, just not all of it persisted for reuse.
-	degradedMsg string
-	// final tallies, captured before the Experiments is closed
-	executed, storeHits, resumed int
 }
 
 // New builds a daemon over cfg and starts its executors. The caller mounts
@@ -158,9 +131,6 @@ type sweep struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("server: Config.Store is required")
-	}
-	if err := os.MkdirAll(filepath.Join(cfg.Store.Dir(), "checkpoints"), 0o755); err != nil {
-		return nil, fmt.Errorf("server: checkpoint dir: %w", err)
 	}
 	s := newServer(cfg)
 	s.startExecutors()
@@ -191,6 +161,9 @@ func withDefaults(cfg Config) Config {
 		cfg.Log = log.New(os.Stderr, "", 0)
 		cfg.Log.SetOutput(discard{})
 	}
+	if cfg.Executor == nil {
+		cfg.Executor = &inProcess{cfg: cfg, traces: sim.NewTraceCache("")}
+	}
 	return cfg
 }
 
@@ -205,14 +178,13 @@ func newServer(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,
-		traces:      sim.NewTraceCache(""),
-		interactive: make(chan *sweep, cfg.QueueDepth),
-		bulk:        make(chan *sweep, cfg.QueueDepth),
+		interactive: make(chan *Job, cfg.QueueDepth),
+		bulk:        make(chan *Job, cfg.QueueDepth),
 		rootCtx:     ctx,
 		rootCancel:  cancel,
 		stop:        make(chan struct{}),
-		sweeps:      make(map[string]*sweep),
-		byHash:      make(map[string]*sweep),
+		sweeps:      make(map[string]*Job),
+		byHash:      make(map[string]*Job),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
@@ -279,8 +251,8 @@ func (s *Server) evictExpired(now time.Time) int {
 			continue
 		}
 		delete(s.sweeps, id)
-		if s.byHash[sw.reqHash] == sw {
-			delete(s.byHash, sw.reqHash)
+		if s.byHash[sw.ReqHash] == sw {
+			delete(s.byHash, sw.ReqHash)
 		}
 		n++
 	}
@@ -328,7 +300,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for {
-		var sw *sweep
+		var sw *Job
 		select {
 		case sw = <-s.interactive:
 		default:
@@ -345,15 +317,15 @@ func (s *Server) executor() {
 }
 
 // runIsolated executes one sweep with panic isolation: a panic escaping
-// the harness (or injected by the chaos plane) fails that sweep, not the
+// the executor (or injected by the chaos plane) fails that sweep, not the
 // executor goroutine — the daemon keeps serving.
-func (s *Server) runIsolated(sw *sweep) {
+func (s *Server) runIsolated(sw *Job) {
 	defer func() {
 		if p := recover(); p != nil {
 			obsServerPanics.Add(1)
 			s.noteDegraded("sweep executor panic")
-			s.cfg.Log.Printf("leakd: panic in sweep %s (isolated): %v\n%s", sw.id, p, debug.Stack())
-			s.finishUnrun(sw, api.StateFailed, fmt.Sprintf("sweep panicked: %v", p))
+			s.cfg.Log.Printf("leakd: panic in sweep %s (isolated): %v\n%s", sw.ID, p, debug.Stack())
+			s.finish(sw, api.StateFailed, fmt.Sprintf("sweep panicked: %v", p), "")
 		}
 	}()
 	s.execute(sw)
@@ -373,28 +345,15 @@ func (s *Server) noteDegraded(reason string) {
 	}
 }
 
-// multiSink tees harness events to the sweep's hub and the global sink.
-type multiSink []harness.EventSink
-
-func (m multiSink) Write(rec obs.Record) {
-	for _, s := range m {
-		if s != nil {
-			s.Write(rec)
-		}
-	}
-}
-
-// execute runs one sweep to a terminal state. Every completed cell is in
-// the store (and the sweep's checkpoint) before the state goes terminal, so
-// a drain mid-sweep loses no finished work.
-func (s *Server) execute(sw *sweep) {
+// execute runs one sweep through the executor to a terminal state.
+func (s *Server) execute(sw *Job) {
 	obsSweepsInFlight.Add(1)
 	defer obsSweepsInFlight.Add(-1)
 	defer sw.cancel()
 
 	// Chaos: the server.sweep site fires inside the executor, past the
 	// dequeue accounting, so an injected panic exercises the same
-	// isolation path a harness-escaping bug would.
+	// isolation path an executor-escaping bug would.
 	if s.cfg.Plane != nil {
 		d := s.cfg.Plane.Decide(faultinject.SiteServerSweep)
 		switch d.Fault {
@@ -406,7 +365,7 @@ func (s *Server) execute(sw *sweep) {
 	}
 
 	// The watchdog bounds the whole sweep; its cancellation propagates
-	// through the harness exactly like a drain (in-flight cells stop,
+	// through the executor exactly like a drain (in-flight cells stop,
 	// completed cells are already durable).
 	runCtx := sw.ctx
 	if s.cfg.SweepTimeout > 0 {
@@ -415,66 +374,27 @@ func (s *Server) execute(sw *sweep) {
 		defer wcancel()
 	}
 
-	e := sim.NewExperiments()
-	e.Instructions = sw.instructions
-	e.Warmup = sw.warmup
-	e.Parallel = true
-	e.Workers = s.cfg.Workers
-	e.Store = s.cfg.Store
-	e.SharedTraces = s.traces
-	e.Ctx = runCtx
-	e.RunTimeout = s.cfg.RunTimeout
-	e.MaxRetries = s.cfg.MaxRetries
-	e.Peer = s.cfg.Peer
-	e.Events = multiSink{sw.hub, s.cfg.Events}
-	// The checkpoint is keyed by the request hash: a daemon killed
-	// mid-sweep resumes exactly this request's remaining cells on restart.
-	ckptDir := filepath.Join(s.cfg.Store.Dir(), "checkpoints")
-	_ = os.MkdirAll(ckptDir, 0o755)
-	e.CheckpointPath = filepath.Join(ckptDir, sw.reqHash+".jsonl")
-	e.Resume = true
-
 	sw.mu.Lock()
 	sw.state = api.StateRunning
 	sw.started = time.Now()
-	sw.exp = e
 	sw.mu.Unlock()
-	sw.hub.Write(obs.Record{Type: "sweep_start", RunID: sw.id, Detail: sw.reqHash})
-	s.cfg.Log.Printf("leakd: sweep %s running (%d cells, %s)", sw.id,
-		len(sw.cells)+len(sw.attacks), sw.priority)
+	sw.hub.Write(obs.Record{Type: "sweep_start", RunID: sw.ID, Detail: sw.ReqHash})
+	s.cfg.Log.Printf("leakd: sweep %s running (%d cells, %s)", sw.ID, len(sw.Cells), sw.Priority)
 
-	// Both cell kinds run under one Experiments, so they share the store,
-	// the checkpoint file (disjoint key namespaces) and the live counters.
-	outs, runErr := e.RunCells(sw.cells)
-	var attackOuts []sim.AttackOutcome
-	if runErr == nil {
-		attackOuts, runErr = e.RunAttackCells(sw.attacks)
-	}
-	// Run trouble and infrastructure trouble are different verdicts: a
-	// batch that produced its results but could not persist them all is
-	// degraded-complete (the daemon recomputes next time instead of lying
-	// about durability), not failed.
-	infraErr := e.Err()
-	executed, hits, resumed := e.Executed(), e.StoreHits(), e.Resumed()
-	_ = e.Close()
+	degraded, runErr := s.cfg.Executor.Run(runCtx, sw)
 
 	// The watchdog fired iff the run context died while the sweep's own
 	// context (drain, client deadline) is still alive.
 	watchdogFired := runCtx.Err() != nil && sw.ctx.Err() == nil
 
-	state := api.StateCompleted
-	var msg, degradedMsg string
 	failed := 0
-	for _, o := range outs {
-		if o.Err != nil {
+	for i := range sw.Cells {
+		if sw.Outcome(i).State == "failed" {
 			failed++
 		}
 	}
-	for _, o := range attackOuts {
-		if o.Err != nil {
-			failed++
-		}
-	}
+	state := api.StateCompleted
+	var msg string
 	switch {
 	case (runErr != nil || failed > 0) && watchdogFired:
 		state = api.StateFailed
@@ -485,51 +405,49 @@ func (s *Server) execute(sw *sweep) {
 	case runErr != nil:
 		state, msg = api.StateFailed, runErr.Error()
 	case failed > 0 && sw.ctx.Err() != nil:
-		// No infrastructure error, but cells were cut short by the drain
-		// or deadline: the sweep is canceled, not completed.
+		// No run error, but cells were cut short by the drain or
+		// deadline: the sweep is canceled, not completed.
 		state, msg = api.StateCanceled, sw.ctx.Err().Error()
 	}
-	if state == api.StateCompleted && infraErr != nil {
-		degradedMsg = infraErr.Error()
+	if state != api.StateCompleted {
+		degraded = ""
+	} else if degraded != "" {
 		obsSweepsDegraded.Add(1)
-		s.noteDegraded("store trouble: " + infraErr.Error())
-		s.cfg.Log.Printf("leakd: sweep %s degraded-complete: %v", sw.id, infraErr)
 	}
 
-	sw.mu.Lock()
-	sw.state = state
-	sw.finished = time.Now()
-	sw.exp = nil
-	sw.outcomes = outs
-	sw.attackOutcomes = attackOuts
-	sw.errMsg = msg
-	sw.degradedMsg = degradedMsg
-	sw.executed, sw.storeHits, sw.resumed = executed, hits, resumed
-	sw.mu.Unlock()
-
-	sw.hub.Write(obs.Record{Type: "sweep_" + state, RunID: sw.id, Error: msg})
-	sw.hub.Close()
+	s.finish(sw, state, msg, degraded)
 	obsSweepsCompleted.Add(1)
-	s.cfg.Log.Printf("leakd: sweep %s %s (executed=%d store_hits=%d resumed=%d failed=%d)",
-		sw.id, state, executed, hits, resumed, failed)
+	sw.mu.Lock()
+	t := sw.tally
+	sw.mu.Unlock()
+	s.cfg.Log.Printf("leakd: sweep %s %s (executed=%d store_hits=%d resumed=%d failed=%d degraded=%q)",
+		sw.ID, state, t.Executed, t.StoreHits, t.Resumed, failed, degraded)
 }
 
-// finishUnrun terminates a sweep that never reached an executor.
-func (s *Server) finishUnrun(sw *sweep, state, msg string) {
+// finish moves a sweep to a terminal state, folds its live tally and ends
+// its event stream. The state is set before the hub closes, so a client
+// that sees the stream end and then asks for the status sees it terminal.
+func (s *Server) finish(sw *Job, state, msg, degraded string) {
 	sw.cancel()
+	var last Tally
+	if live := sw.liveTally(); live != nil {
+		last = live()
+	}
 	sw.mu.Lock()
+	sw.tally, sw.live = sw.tally.add(last), nil
 	sw.state = state
 	sw.finished = time.Now()
 	sw.errMsg = msg
+	sw.degradedMsg = degraded
 	sw.mu.Unlock()
-	sw.hub.Write(obs.Record{Type: "sweep_" + state, RunID: sw.id, Error: msg})
+	sw.hub.Write(obs.Record{Type: "sweep_" + state, RunID: sw.ID, Error: msg})
 	sw.hub.Close()
 }
 
 // Shutdown drains the daemon: new submissions get 503, queued sweeps are
 // canceled, running sweeps get their contexts canceled (in-flight cells
-// drain; completed cells are already checkpointed and stored), and the
-// executors exit. It blocks until the drain finishes or ctx expires.
+// drain; completed cells are already stored), and the executors exit. It
+// blocks until the drain finishes or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -545,10 +463,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		select {
 		case sw := <-s.interactive:
 			obsQueueDepth.Add(-1)
-			s.finishUnrun(sw, api.StateCanceled, "daemon draining")
+			s.finish(sw, api.StateCanceled, "daemon draining", "")
 		case sw := <-s.bulk:
 			obsQueueDepth.Add(-1)
-			s.finishUnrun(sw, api.StateCanceled, "daemon draining")
+			s.finish(sw, api.StateCanceled, "daemon draining", "")
 		default:
 			drained = true
 		}
@@ -588,7 +506,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	total := len(specs) + len(attacks)
+	total := len(wire)
 	if total == 0 {
 		httpError(w, http.StatusBadRequest, "sweep has no cells")
 		return
@@ -644,20 +562,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ctx, cancel = context.WithCancel(s.rootCtx)
 	}
-	sw := &sweep{
-		id:           fmt.Sprintf("s-%06d", s.seq),
-		reqHash:      reqHash,
-		priority:     priority,
-		cells:        specs,
-		attacks:      attacks,
-		wire:         wire,
-		instructions: req.Instructions,
-		warmup:       req.Warmup,
+	sw := &Job{
+		ID:           fmt.Sprintf("s-%06d", s.seq),
+		ReqHash:      reqHash,
+		Priority:     priority,
+		Instructions: req.Instructions,
+		Warmup:       req.Warmup,
+		Cells:        wire,
+		Specs:        specs,
+		Attacks:      attacks,
+		Store:        s.cfg.Store,
+		srv:          s,
 		ctx:          ctx,
 		cancel:       cancel,
 		hub:          stream.NewHub(),
 		state:        api.StateQueued,
 		created:      time.Now(),
+		outcomes:     make([]api.CellStatus, total),
+	}
+	sw.Events = multiSink{sw.hub, s.cfg.Events}
+	for i, c := range wire {
+		sw.outcomes[i] = api.CellStatus{Cell: c, State: "pending"}
 	}
 	q := s.bulk
 	if priority == "interactive" {
@@ -665,8 +590,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The gauge goes up before the enqueue: an executor that dequeues the
 	// sweep immediately decrements a count that already includes it, so
-	// the load signal (which the cluster coordinator's placement reads)
-	// never dips below zero. A rejected submit takes the increment back.
+	// the load signal never dips below zero. A rejected submit takes the
+	// increment back.
 	obsQueueDepth.Add(1)
 	select {
 	case q <- sw:
@@ -679,7 +604,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooManyRequests, priority+" queue is full")
 		return
 	}
-	s.sweeps[sw.id] = sw
+	s.sweeps[sw.ID] = sw
 	s.byHash[reqHash] = sw
 	s.mu.Unlock()
 	obsSweepsAccepted.Add(1)
@@ -689,16 +614,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // ---- status ----
 
 // status snapshots a sweep for the wire. Cell-level detail is included
-// only when withCells (the per-sweep GET), not on submit responses.
-func (s *Server) status(sw *sweep, withCells bool) api.SweepStatus {
+// only when withCells (the per-sweep GET), not on submit responses. A
+// cell's failure shows only once the sweep is terminal: until then an
+// executor may still re-dispatch and produce it.
+func (s *Server) status(sw *Job, withCells bool) api.SweepStatus {
+	live := sw.liveTally()
+	var running Tally
+	if live != nil {
+		running = live()
+	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	terminal := api.Terminal(sw.state)
 	st := api.SweepStatus{
-		ID:       sw.id,
+		ID:       sw.ID,
 		State:    sw.state,
-		Priority: sw.priority,
+		Priority: sw.Priority,
 		Created:  sw.created,
-		Total:    len(sw.cells) + len(sw.attacks),
+		Total:    len(sw.Cells),
 		Error:    sw.errMsg,
 		Degraded: sw.degradedMsg,
 	}
@@ -710,55 +643,29 @@ func (s *Server) status(sw *sweep, withCells bool) api.SweepStatus {
 		t := sw.finished
 		st.Finished = &t
 	}
-	if sw.exp != nil { // running: live counters
-		st.Executed = sw.exp.Executed()
-		st.StoreHits = sw.exp.StoreHits()
-		st.Resumed = sw.exp.Resumed()
-		st.Completed = st.Executed + st.StoreHits + st.Resumed
-	} else {
-		st.Executed, st.StoreHits, st.Resumed = sw.executed, sw.storeHits, sw.resumed
-	}
-	if sw.outcomes != nil || sw.attackOutcomes != nil {
-		// Energy outcomes first, then attack outcomes — the wire order
-		// ExpandCells documents.
-		st.Completed = 0
-		for _, o := range sw.outcomes {
-			cs := api.CellStatus{Cell: api.FromSpec(o.Spec), Hash: o.Hash}
-			if o.Err != nil {
-				cs.State = "failed"
-				cs.Error = o.Err.Err
-				st.Failed++
-			} else {
-				cs.State = "done"
-				st.Completed++
-			}
-			if withCells {
-				st.Cells = append(st.Cells, cs)
-			}
+	for _, cs := range sw.outcomes {
+		switch {
+		case cs.State == "done":
+			st.Completed++
+		case cs.State == "failed" && terminal:
+			st.Failed++
+		default:
+			cs = api.CellStatus{Cell: cs.Cell, State: "pending"}
 		}
-		for _, o := range sw.attackOutcomes {
-			cs := api.CellStatus{Cell: api.FromAttackSpec(o.Spec), Hash: o.Hash}
-			if o.Err != nil {
-				cs.State = "failed"
-				cs.Error = o.Err.Err
-				st.Failed++
-			} else {
-				cs.State = "done"
-				st.Completed++
-			}
-			if withCells {
-				st.Cells = append(st.Cells, cs)
-			}
-		}
-	} else if withCells {
-		for _, c := range sw.wire {
-			st.Cells = append(st.Cells, api.CellStatus{Cell: c, State: "pending"})
+		if withCells {
+			st.Cells = append(st.Cells, cs)
 		}
 	}
+	t := sw.tally
+	if live != nil && sw.live != nil { // running: live counters stand in for per-cell progress
+		t = t.add(running)
+		st.Completed = t.Executed + t.StoreHits + t.Resumed
+	}
+	st.Executed, st.StoreHits, st.Resumed = t.Executed, t.StoreHits, t.Resumed
 	return st
 }
 
-func (s *Server) lookup(id string) *sweep {
+func (s *Server) lookup(id string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sweeps[id]
@@ -776,7 +683,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the sweep's trace events as SSE: the buffered
 // history first, then live events until the sweep finishes or the client
 // goes away. Event types are the harness's record types (run_start,
-// run_done, checkpoint_hit, store_hit, sweep_*).
+// run_done, checkpoint_hit, store_hit, sweep_*) plus, in cluster mode,
+// the shard records (shard_dispatch, shard_requeued, worker_death).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sw := s.lookup(r.PathValue("id"))
 	if sw == nil {
@@ -788,6 +696,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleCell serves a stored cell by content address: the daemon's own
+// store first, then the executor when it can see other stores (the
+// cluster's workers). A hit there is persisted before serving, so the
+// store converges toward holding everything the cluster computed.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	rec, ok, err := s.cfg.Store.Get(hash)
@@ -795,17 +707,26 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such cell")
+	if ok {
+		respondJSON(w, http.StatusOK, api.CellRecord{Hash: rec.Hash, Key: rec.Key, Value: rec.Value})
 		return
 	}
-	respondJSON(w, http.StatusOK, api.CellRecord{Hash: rec.Hash, Key: rec.Key, Value: rec.Value})
+	if f, isFetcher := s.cfg.Executor.(sim.CellFetcher); isFetcher {
+		if val, hit, ferr := f.FetchCell(r.Context(), hash); ferr == nil && hit {
+			if perr := s.cfg.Store.Put(hash, nil, val); perr != nil {
+				s.noteDegraded("store trouble: " + perr.Error())
+			}
+			respondJSON(w, http.StatusOK, api.CellRecord{Hash: hash, Value: val})
+			return
+		}
+	}
+	httpError(w, http.StatusNotFound, "no such cell")
 }
 
 // handleHealthz reports the daemon's tri-state health: "ok", "degraded"
 // (serving, but limping — store corruption quarantined at open, store
-// writes failing, isolated panics; Reasons says why) with 200 so load
-// balancers keep routing, or "draining" with 503 so they stop.
+// writes failing, isolated panics, dead workers; Reasons says why) with
+// 200 so load balancers keep routing, or "draining" with 503 so they stop.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	draining := s.draining

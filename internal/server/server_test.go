@@ -314,6 +314,45 @@ func TestRemoteRunCells(t *testing.T) {
 	}
 }
 
+// TestWaitSweepFollowsStream: WaitSweep wakes on the end of the sweep's
+// event stream, not on the next poll — with a 10s PollInterval it still
+// returns within a fraction of that interval.
+func TestWaitSweepFollowsStream(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	srv, err := New(testConfig(t, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hts := httptest.NewServer(srv.Handler())
+	defer hts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}()
+	cl := api.NewClient(hts.URL)
+	cl.PollInterval = 10 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	sub, err := cl.SubmitSweep(ctx, twoCellRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	final, err := cl.WaitSweep(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != api.StateCompleted {
+		t.Fatalf("sweep ended %q (%s)", final.State, final.Error)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("WaitSweep took %s with a 10s poll interval: it polled instead of following the stream", waited)
+	}
+}
+
 // TestDrainAndResume submits a sweep wide enough to still be in flight
 // when SIGTERM-equivalent Shutdown lands, verifies the drain is clean (no
 // leaked goroutines), then "restarts" the daemon on a fresh store handle
