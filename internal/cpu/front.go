@@ -1,7 +1,9 @@
 // Lockstep batch front end: the per-instruction work that does not depend
-// on a variant's timing or leakage state — trace decode, branch
-// prediction, I-cache line grouping — computed once per (benchmark,
-// machine config) group and replayed into N variant cores.
+// on a variant's timing or leakage state — stream generation, branch
+// prediction, I-cache line grouping — computed once per (benchmark, run
+// length, predictor config) and replayed into every variant core of every
+// machine config that shares them (the L2 latency never reaches the
+// front).
 //
 // The split rests on an invariant of this trace-driven model: the fetch
 // STREAM is identical for every variant of one benchmark. Fetch order is
@@ -42,51 +44,55 @@ const (
 	// FrontBPDirMisp / FrontBPBTBMiss carry the Update call's Stats deltas.
 	FrontBPDirMisp
 	FrontBPBTBMiss
+	// FrontTaken is the instruction's actual direction (workload.Instr's
+	// Taken).
+	FrontTaken
 )
 
-// FrontRec is one precomputed instruction: the decoded fields plus the
-// variant-independent front-end outcome flags.
+// FrontRec is one precomputed instruction, packed to 32 bytes: the
+// decoded fields replay reads plus the variant-independent front-end
+// outcome flags. The CTI target is not kept — the predictor consumes it
+// during Fill and replay never reads it.
 type FrontRec struct {
-	Ins   workload.Instr
-	Flags uint8
+	PC, Addr   uint64
+	Src1, Src2 int32
+	Op         workload.OpClass
+	Flags      uint8
 }
 
-// Front is a fully materialized precomputed stream. It is filled once per
-// batch group and then read concurrently — Fill must complete before any
-// lane consumes it, and the records are immutable afterwards.
+// Front is a fully materialized precomputed stream. It is filled once and
+// then read concurrently — Fill must complete before any lane consumes it,
+// and the records are immutable afterwards.
 type Front struct {
 	Recs []FrontRec
 }
 
-// Fill precomputes n instructions from src through pred, reusing the
-// record storage across groups. pred must be freshly built or Reset: it
-// plays the role every lane's private predictor plays on the scalar path,
-// and its table state after Fill is exactly the scalar predictor's state
-// after the same stream (the parity tests pin this).
-func (f *Front) Fill(src InstrSource, pred *bpred.Predictor, n uint64) {
+// Fill precomputes n instructions from gen through pred, reusing the
+// record storage's capacity. pred must be freshly built or Reset: it plays
+// the role every lane's private predictor plays on the scalar path, and
+// its table state after Fill is exactly the scalar predictor's state after
+// the same stream (the parity tests pin this).
+func (f *Front) Fill(gen *workload.Generator, pred *bpred.Predictor, n uint64) {
 	if uint64(cap(f.Recs)) >= n {
 		f.Recs = f.Recs[:n]
 	} else {
 		f.Recs = make([]FrontRec, n)
 	}
-	genFast, _ := src.(*workload.Generator)
+	var ins workload.Instr
 	lastLine := ^uint64(0)
 	for i := range f.Recs {
-		r := &f.Recs[i]
-		ins := &r.Ins
-		if genFast != nil {
-			genFast.Next(ins)
-		} else {
-			src.Next(ins)
-		}
+		gen.Next(&ins)
 		flags := uint8(0)
 		if line := ins.PC >> 6; line != lastLine {
 			lastLine = line
 			flags = FrontICAccess
 		}
+		if ins.Taken {
+			flags |= FrontTaken
+		}
 		if ins.Op.IsCTI() {
 			before := pred.Stats
-			misp, bubble := predictCTI(pred, ins)
+			misp, bubble := predictCTI(pred, &ins)
 			if misp {
 				flags |= FrontMisp
 			}
@@ -103,12 +109,9 @@ func (f *Front) Fill(src InstrSource, pred *bpred.Predictor, n uint64) {
 				flags |= FrontBPBTBMiss
 			}
 		}
-		r.Flags = flags
+		f.Recs[i] = FrontRec{PC: ins.PC, Addr: ins.Addr, Src1: ins.Src1, Src2: ins.Src2, Op: ins.Op, Flags: flags}
 	}
 }
-
-// Len returns the number of precomputed instructions.
-func (f *Front) Len() int { return len(f.Recs) }
 
 // AttachFront switches the core into replay mode: fetch consumes the
 // precomputed records (from the beginning) instead of generating and
@@ -120,10 +123,6 @@ func (c *Core) AttachFront(f *Front) {
 	c.front = f
 	c.frontPos = 0
 }
-
-// FrontPos returns how many precomputed instructions the core has
-// consumed — the lane's fetch position in the shared stream.
-func (c *Core) FrontPos() int { return c.frontPos }
 
 // fetchReplay is fetch for a front-attached core: structurally identical
 // to Core.fetch, but the instruction comes from the precomputed record and
@@ -154,7 +153,7 @@ func (c *Core) fetchReplay(cycle uint64) bool {
 	mask := c.ringMask
 	for w := 0; w < c.Cfg.FetchWidth; w++ {
 		if c.frontPos >= len(recs) {
-			// The front was sized to the recorded trace length
+			// The front was sized to the run length plus slack
 			// (warmup+measure+slack), which bounds every lane's fetch-ahead;
 			// running past it means the run was asked for more instructions
 			// than the front holds. The batch executor recovers the panic
@@ -167,31 +166,31 @@ func (c *Core) fetchReplay(cycle uint64) bool {
 		seq := c.nextSeq
 		c.nextSeq = seq + 1
 		s := seq & mask
-		if d := uint64(uint32(rec.Ins.Src1)); d != 0 && seq > d {
+		if d := uint64(uint32(rec.Src1)); d != 0 && seq > d {
 			c.src1[s] = seq - d
 		} else {
 			c.src1[s] = 0
 		}
-		if d := uint64(uint32(rec.Ins.Src2)); d != 0 && seq > d {
+		if d := uint64(uint32(rec.Src2)); d != 0 && seq > d {
 			c.src2[s] = seq - d
 		} else {
 			c.src2[s] = 0
 		}
-		c.addr[s] = rec.Ins.Addr
-		c.ops[s] = rec.Ins.Op
+		c.addr[s] = rec.Addr
+		c.ops[s] = rec.Op
 
 		stop := false
 		flags := rec.Flags
 
 		if flags&FrontICAccess != 0 {
-			if lat := c.ICache.Access(rec.Ins.PC, false, cycle); lat > c.ICache.HitLat() {
+			if lat := c.ICache.Access(rec.PC, false, cycle); lat > c.ICache.HitLat() {
 				c.Stats.ICacheStalls++
 				c.fetchStall = cycle + uint64(lat)
 				stop = true
 			}
 		}
 
-		if rec.Ins.Op.IsCTI() {
+		if rec.Op.IsCTI() {
 			c.Stats.Branches++
 			if flags&FrontBPUpdate != 0 {
 				c.BP.Branches++
@@ -211,7 +210,7 @@ func (c *Core) fetchReplay(cycle uint64) bool {
 				c.fetchStall = cycle + 2
 				return true
 			}
-			if rec.Ins.Taken {
+			if flags&FrontTaken != 0 {
 				return true
 			}
 		}

@@ -35,7 +35,8 @@ func TestPromEndpointCarriesAllCounterFamilies(t *testing.T) {
 		obs.MetricAttackProbes,
 		obs.MetricChannelObserved,
 		obs.MetricChannelEstimates,
-		// Core pipeline self-profile and batch front fill.
+		// Core pipeline self-profile, batch front fill and its resident
+		// record bytes.
 		"sim_stage_tick_ns_total",
 		"sim_stage_commit_ns_total",
 		"sim_stage_issue_ns_total",
@@ -44,6 +45,7 @@ func TestPromEndpointCarriesAllCounterFamilies(t *testing.T) {
 		"sim_stage_sampled_cycles_total",
 		"sim_front_fill_trace_total",
 		"sim_front_fill_live_total",
+		obs.GaugeFrontResident,
 		// Lockstep batching.
 		obs.MetricBatchGroups,
 		obs.MetricBatchLanes,

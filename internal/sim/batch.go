@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hotleakage/internal/bpred"
 	"hotleakage/internal/cpu"
@@ -16,71 +19,117 @@ import (
 	"hotleakage/internal/workload"
 )
 
-// FrontFillMode selects how a lockstep group's shared front is produced.
-//
-// The recorded-trace path (record once into a compact trace.Buffer, then
-// decode it into the front) wins when the recording has more than one
-// consumer: later groups of the same benchmark and scalar-path cells
-// replay it for free. When the front is the recording's ONLY consumer,
-// the record+decode round trip is pure overhead over generating the
-// stream directly into the front — the two paths produce bit-identical
-// fronts (the recorded stream IS the generator's stream, and the parity
-// suite pins it), so the planner is free to pick whichever is cheaper.
-type FrontFillMode int
-
-const (
-	// FrontFillAuto (the default) records when the benchmark's trace has
-	// another consumer — it appears in more than one batch group, has
-	// cells bound for the scalar path, or is already recorded — and
-	// generates live otherwise.
-	FrontFillAuto FrontFillMode = iota
-	// FrontFillTrace always records and replays (the pre-adaptive
-	// behaviour).
-	FrontFillTrace
-	// FrontFillLive always generates directly into the front.
-	FrontFillLive
-)
-
-// ParseFrontFillMode parses a -front-fill flag value.
-func ParseFrontFillMode(s string) (FrontFillMode, error) {
-	switch s {
-	case "", "auto":
-		return FrontFillAuto, nil
-	case "trace":
-		return FrontFillTrace, nil
-	case "live":
-		return FrontFillLive, nil
-	}
-	return FrontFillAuto, fmt.Errorf("front-fill: unknown mode %q (want auto, trace or live)", s)
-}
-
-func (m FrontFillMode) String() string {
-	switch m {
-	case FrontFillTrace:
-		return "trace"
-	case FrontFillLive:
-		return "live"
-	}
-	return "auto"
-}
-
-// Front-fill outcome counters: how each lockstep group's shared front was
-// produced (see fillFront and Experiments.FrontFill).
+// Shared-front instruments: fronts filled (always live, from the
+// generator) and the record bytes held. sim_front_fill_trace_total is
+// registered only so that it keeps rendering at zero: batch fronts no
+// longer fill from the trace cache, and dashboards and the benchmark's
+// scrape keep a stable schema.
 var (
-	obsFrontFillTrace = obs.Default.Counter("sim_front_fill_trace_total")
-	obsFrontFillLive  = obs.Default.Counter("sim_front_fill_live_total")
+	_                = obs.Default.Counter("sim_front_fill_trace_total")
+	obsFrontFillLive = obs.Default.Counter("sim_front_fill_live_total")
+	obsFrontResident = obs.Default.Gauge(obs.GaugeFrontResident)
 )
+
+// frontRecBytes is one packed front record's size.
+const frontRecBytes = int64(unsafe.Sizeof(cpu.FrontRec{}))
+
+// frontKey identifies a front's contents: the stream (benchmark and
+// length) and the predictor that precomputed its outcomes. Nothing else in
+// a machine config reaches the front, so every L2 latency of a benchmark
+// shares one.
+type frontKey struct {
+	bench string
+	n     uint64
+	bp    bpred.Config
+}
+
+// sharedFront is one benchmark's front within a batch phase: filled once
+// by whichever of its groups gets there first, then read concurrently by
+// all of them. A failed fill fails every group that shares it.
+type sharedFront struct {
+	pool  *frontPool
+	once  sync.Once
+	front cpu.Front
+	err   error
+	// groups counts the benchmark's groups still to finish; the planner
+	// returns the records to the pool when it reaches zero.
+	groups atomic.Int32
+}
+
+// fill fills the front on first call, from a fresh generator through bs's
+// predictor into storage from the pool; later calls wait for that fill and
+// return its outcome. A canceled ctx or a panic during fill is the error.
+func (sf *sharedFront) fill(ctx context.Context, bs *BatchState, mc MachineConfig, prof workload.Profile) error {
+	sf.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				sf.err = fmt.Errorf("batch front fill: %v", r)
+			}
+		}()
+		if sf.err = ctx.Err(); sf.err != nil {
+			return
+		}
+		if bs.pred == nil || bs.predCfg != mc.Bpred {
+			bs.pred = bpred.New(mc.Bpred)
+			bs.predCfg = mc.Bpred
+		} else {
+			bs.pred.Reset()
+		}
+		sf.front.Recs = sf.pool.get()
+		had := cap(sf.front.Recs)
+		sf.front.Fill(workload.NewGenerator(prof), bs.pred, mc.Warmup+mc.Instructions+traceSlack)
+		obsFrontResident.Add(int64(cap(sf.front.Recs)-had) * frontRecBytes)
+		obsFrontFillLive.Add(1)
+	})
+	return sf.err
+}
+
+// frontPool is the free list of front record storage, accounted in
+// sim_front_resident_bytes together with the live fronts filled from it.
+// It is an explicit list rather than a sync.Pool so that peak memory does
+// not depend on GC timing: a benchmark's records return here when its
+// last group finishes and the next benchmark's fill reuses them.
+type frontPool struct {
+	mu   sync.Mutex
+	free [][]cpu.FrontRec
+}
+
+// get pops free storage, or nil when the list is empty.
+func (p *frontPool) get() (recs []cpu.FrontRec) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		recs, p.free = p.free[n-1], p.free[:n-1]
+	}
+	return recs
+}
+
+func (p *frontPool) put(recs []cpu.FrontRec) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if cap(recs) > 0 {
+		p.free = append(p.free, recs)
+	}
+}
+
+// drain drops the free list.
+func (p *frontPool) drain() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, recs := range p.free {
+		obsFrontResident.Add(-int64(cap(recs)) * frontRecBytes)
+	}
+	p.free = nil
+}
 
 // BatchState is one batch-executor goroutine's reusable scratch: the
-// shared front buffer (tens of MB for a full-length group, recycled
-// across groups), the front's predictor, and one RunState per lane so
+// predictor a front fill runs through, and one RunState per lane so
 // every lane's machine components are reused run-to-run exactly like the
 // scalar workers' (cpu.Recycle / RunState.reuse reset them to pristine;
 // the reuse parity tests cover the batch fields too).
 //
 // A BatchState must not be shared between concurrently executing groups.
 type BatchState struct {
-	front   cpu.Front
 	pred    *bpred.Predictor
 	predCfg bpred.Config
 	lanes   []*RunState
@@ -126,54 +175,16 @@ func failLanes(lanes []*batchLane, err error) {
 	}
 }
 
-// fillFront precomputes the group's shared instruction stream, preferring
-// the recorded trace (bit-identical to live generation; see TraceCache)
-// and falling back to a live generator on recording trouble or the
-// defensive wrap check. A panic during fill (corrupt trace payload) is
-// returned as an error.
-func fillFront(ctx context.Context, bs *BatchState, tc *TraceCache, mc MachineConfig, prof workload.Profile, n uint64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("batch front fill: %v", r)
-		}
-	}()
-	if bs.pred == nil || bs.predCfg != mc.Bpred {
-		bs.pred = bpred.New(mc.Bpred)
-		bs.predCfg = mc.Bpred
-	} else {
-		bs.pred.Reset()
-	}
-	if tc != nil {
-		if buf, berr := tc.buffer(ctx, prof, n); berr == nil {
-			if cur, cerr := buf.Cursor(); cerr == nil {
-				bs.front.Fill(cur, bs.pred, n)
-				if cur.Laps() == 0 {
-					obsFrontFillTrace.Add(1)
-					return nil
-				}
-				// Shorter recording than requested (cannot happen with the
-				// cache's own keying, but cheap to guard): refill live.
-				obsTraceWraps.Add(1)
-				bs.pred.Reset()
-			}
-		} else if ctx.Err() != nil {
-			return berr
-		}
-	}
-	bs.front.Fill(workload.NewGenerator(prof), bs.pred, n)
-	obsFrontFillLive.Add(1)
-	return nil
-}
-
 // runBatchGroup executes a group of technique/interval variants of one
-// (benchmark, machine config) in lockstep off one shared front. Each lane
-// advances by exactly the scalar path's chunk sequence — warmup in
-// runChunk steps, the runOneFromState warmup-boundary resets, then the
-// measurement window in runChunk steps — so a lane's Run-call sequence is
-// literally the one runCommitted would have issued and the results are
-// bit-identical to scalar execution. Lanes that fail (panic, injected
+// (benchmark, machine config) in lockstep off the benchmark's shared front
+// sf, filling it if no other group has. Each lane advances by exactly the
+// scalar path's chunk sequence — warmup in runChunk steps, the
+// runOneFromState warmup-boundary resets, then the measurement window in
+// runChunk steps — so a lane's Run-call sequence is literally the one
+// runCommitted would have issued and the results are bit-identical to
+// scalar execution. Lanes that fail (panic, injected
 // fault, cancellation) carry the error out; batch-mates are unaffected.
-func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, tc *TraceCache, inj faultinject.Injector, bs *BatchState) {
+func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile, lanes []*batchLane, sf *sharedFront, inj faultinject.Injector, bs *BatchState) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -182,8 +193,7 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 		failLanes(lanes, fmt.Errorf("%w: %v", ErrInvalidConfig, err))
 		return
 	}
-	n := mc.Warmup + mc.Instructions + traceSlack
-	if err := fillFront(ctx, bs, tc, mc, prof, n); err != nil {
+	if err := sf.fill(ctx, bs, mc, prof); err != nil {
 		failLanes(lanes, err)
 		return
 	}
@@ -224,7 +234,7 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 			ln.err = err
 			continue
 		}
-		m.core.AttachFront(&bs.front)
+		m.core.AttachFront(&sf.front)
 		lr := &laneRun{ln: ln, m: m, params: params, inWarmup: mc.Warmup > 0}
 		if lr.inWarmup {
 			lr.left = mc.Warmup

@@ -24,26 +24,44 @@ func batchSpecs(prof workload.Profile, l2 int, intervals []uint64) []runSpec {
 	return specs
 }
 
+// testPool returns a front free list that is drained, and so leaves
+// sim_front_resident_bytes as it found it, when the test ends.
+func testPool(t *testing.T) *frontPool {
+	p := new(frontPool)
+	t.Cleanup(p.drain)
+	return p
+}
+
+// testFront returns a standalone front whose records go back to a
+// test-scoped pool when the test ends.
+func testFront(t *testing.T) *sharedFront {
+	sf := &sharedFront{pool: testPool(t)}
+	t.Cleanup(func() { sf.pool.put(sf.front.Recs) })
+	return sf
+}
+
 // TestBatchScalarParityAllProfiles is the bit-identity contract behind the
 // lockstep batch executor: for every benchmark, a group carrying the
 // baseline plus drowsy/gated-Vss across a spread of decay intervals must
 // produce, lane for lane, exactly the RunResult the scalar path produces —
 // stats, energies, predictor counters, turnoff ratios, everything. The
 // BatchState is reused dirty across benchmarks, so cross-group recycling
-// is under the same contract.
+// is under the same contract, and so are the front records, which cycle
+// through one free list.
 func TestBatchScalarParityAllProfiles(t *testing.T) {
 	mc := parityMachine(11)
-	tc := NewTraceCache("")
-	defer tc.Close()
 	ctx := context.Background()
 	bs := new(BatchState)
+	pool := testPool(t)
 	for _, prof := range workload.Profiles() {
 		specs := batchSpecs(prof, 11, []uint64{1024, 4096, 65536})
 		lanes := make([]*batchLane, len(specs))
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, tc, nil, bs)
+		sf := &sharedFront{pool: pool}
+		runBatchGroup(ctx, mc, prof, lanes, sf, nil, bs)
+		pool.put(sf.front.Recs)
 		for _, ln := range lanes {
 			if ln.err != nil {
 				t.Fatalf("%s lane %s: %v", prof.Name, ln.sp.key(), ln.err)
@@ -61,9 +79,9 @@ func TestBatchScalarParityAllProfiles(t *testing.T) {
 	}
 }
 
-// TestBatchParityLiveFront covers the no-trace-cache configuration: the
-// shared front fills from a live generator and must still match scalar
-// execution exactly.
+// TestBatchParityLiveFront covers a group on a standalone front at a
+// second L2 latency: the front fills from a live generator and must still
+// match scalar execution exactly.
 func TestBatchParityLiveFront(t *testing.T) {
 	mc := parityMachine(5)
 	ctx := context.Background()
@@ -73,7 +91,7 @@ func TestBatchParityLiveFront(t *testing.T) {
 	for i, sp := range specs {
 		lanes[i] = &batchLane{sp: sp}
 	}
-	runBatchGroup(ctx, mc, prof, lanes, nil, nil, new(BatchState))
+	runBatchGroup(ctx, mc, prof, lanes, testFront(t), nil, new(BatchState))
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("lane %s: %v", ln.sp.key(), ln.err)
@@ -102,7 +120,7 @@ func TestBatchLaneScalarReuseParity(t *testing.T) {
 		{sp: runSpec{prof, 11, leakctl.TechDrowsy, 1024}},
 		{sp: runSpec{prof, 11, leakctl.TechGated, 65536}},
 	}
-	runBatchGroup(ctx, mc, prof, lanes, nil, nil, bs)
+	runBatchGroup(ctx, mc, prof, lanes, testFront(t), nil, bs)
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("batch lane %s: %v", ln.sp.key(), ln.err)
@@ -143,11 +161,11 @@ func TestBatchStateReuseBitIdentity(t *testing.T) {
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, nil, nil, bs)
+		runBatchGroup(ctx, mc, prof, lanes, testFront(t), nil, bs)
 		return lanes
 	}
 	dirty := new(BatchState)
-	run(dirty, profA) // dirty the front, predictor and lane states
+	run(dirty, profA) // dirty the predictor and lane states
 	got := run(dirty, profB)
 	want := run(new(BatchState), profB)
 	for i := range want {

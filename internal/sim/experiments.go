@@ -137,13 +137,6 @@ type Experiments struct {
 	// results are bit-identical either way, so this is a
 	// debugging/benchmarking knob, not a correctness one).
 	DisableTraceCache bool
-	// FrontFill selects how lockstep batch groups produce their shared
-	// instruction front: record+replay through the trace cache, live
-	// generation straight into the front, or (the zero value) an automatic
-	// per-group choice that skips the record+decode round trip for
-	// single-consumer traces — see FrontFillMode. Results are bit-identical
-	// on every setting.
-	FrontFill FrontFillMode
 	// TraceSpillDir, when non-empty, keeps recorded traces in files under
 	// this directory instead of memory — for memory-constrained hosts
 	// running very long traces (each replay then re-reads its file).
@@ -228,11 +221,13 @@ type Experiments struct {
 
 	// batchGroups / batchLanes count lockstep groups executed and the
 	// cells they carried; batchStates is the pool of per-goroutine batch
-	// scratch (front buffer, lane RunStates) reused across groups and
-	// runSpecs calls.
+	// scratch (front predictor, lane RunStates) and fronts the free list
+	// of shared-front records, both reused across groups and runSpecs
+	// calls.
 	batchGroups int
 	batchLanes  int
 	batchStates []*BatchState
+	fronts      frontPool
 
 	// traces is the shared instruction-trace cache, attached to every
 	// suite (nil when DisableTraceCache).
@@ -714,14 +709,21 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 		}
 	}
 
+	// frontPlan is one shared front's place in the dispatch order: its
+	// groups' summed cost, then first-seen rank.
+	type frontPlan struct {
+		front *sharedFront
+		cost  float64
+		rank  int
+	}
 	// Group by (benchmark, machine config) in first-seen order; demote
 	// cells whose config the batch executor cannot lockstep.
 	type batchGroup struct {
-		prof     workload.Profile
-		l2       int
-		lanes    []*batchLane
-		cost     float64
-		useTrace bool
+		prof  workload.Profile
+		l2    int
+		lanes []*batchLane
+		cost  float64
+		plan  *frontPlan
 	}
 	index := make(map[string]*batchGroup)
 	var groups []*batchGroup
@@ -756,37 +758,32 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 		return remaining, completed, 0
 	}
 
-	// Adaptive front fill: count each benchmark's trace consumers — its
-	// lockstep groups plus cells already demoted to the scalar path (which
-	// replay through runWithTrace). A single-consumer recording would be
-	// recorded, decoded once into that group's front, and never touched
-	// again, so the group generates its front live instead; multi-consumer
-	// (or already-recorded) benchmarks keep the shared recording.
-	consumers := make(map[string]int, len(groups))
+	// One shared front per benchmark. Its groups dispatch back to back,
+	// benchmarks in decreasing summed LPT cost and each benchmark's groups
+	// heaviest first (stable, so ties keep plan order). Ordering whole
+	// groups rather than cells keeps batchable cells together, and keeping
+	// a benchmark's groups adjacent bounds the live fronts: one per busy
+	// worker plus the benchmark at the head of the queue.
+	plans := make(map[frontKey]*frontPlan)
 	for _, g := range groups {
-		consumers[g.prof.Name]++
-	}
-	for _, sp := range remaining {
-		consumers[sp.prof.Name]++
-	}
-	for _, g := range groups {
-		switch e.FrontFill {
-		case FrontFillLive:
-			// useTrace stays false.
-		case FrontFillTrace:
-			g.useTrace = true
-		default:
-			s := e.suite(g.l2)
-			g.useTrace = consumers[g.prof.Name] > 1 ||
-				(s.Traces != nil && s.Traces.has(g.prof, s.MC.Warmup+s.MC.Instructions+traceSlack))
+		mc := e.suite(g.l2).MC
+		k := frontKey{g.prof.Name, mc.Warmup + mc.Instructions + traceSlack, mc.Bpred}
+		if plans[k] == nil {
+			plans[k] = &frontPlan{front: &sharedFront{pool: &e.fronts}, rank: len(plans)}
 		}
+		g.plan = plans[k]
+		g.plan.front.groups.Add(1)
+		g.plan.cost += g.cost
 	}
-
-	// LPT at group granularity: ordering whole groups (not cells) by
-	// predicted cost keeps batchable cells together — interleaving cells
-	// across workers would fragment the batches — while the heaviest
-	// groups still start first. Stable, so equal costs keep plan order.
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].cost > groups[j].cost })
+	sort.SliceStable(groups, func(i, j int) bool {
+		if a, b := groups[i].plan, groups[j].plan; a != b {
+			if a.cost != b.cost {
+				return a.cost > b.cost
+			}
+			return a.rank < b.rank
+		}
+		return groups[i].cost > groups[j].cost
+	})
 
 	workers := e.Workers
 	if workers <= 0 {
@@ -814,11 +811,11 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 						e.Events.Write(obs.Record{Type: "run_start", RunID: ln.sp.key()})
 					}
 				}
-				tc := s.Traces
-				if !g.useTrace {
-					tc = nil
+				sf := g.plan.front
+				runBatchGroup(ctx, s.MC, g.prof, g.lanes, sf, e.Injector, bs)
+				if sf.groups.Add(-1) == 0 {
+					e.fronts.put(sf.front.Recs)
 				}
-				runBatchGroup(ctx, s.MC, g.prof, g.lanes, tc, e.Injector, bs)
 			}
 		}()
 	}
@@ -1148,6 +1145,7 @@ func (e *Experiments) Err() error {
 func (e *Experiments) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.fronts.drain()
 	var terr error
 	if e.traces != nil {
 		terr = e.traces.Close()

@@ -150,43 +150,37 @@ func TestExperimentsFiguresIdenticalWithTraceCacheOff(t *testing.T) {
 	}
 }
 
-// TestExperimentsFiguresIdenticalAcrossFrontFillModes pins the adaptive
-// front-fill planner's bit-identity contract: forcing every lockstep group
-// through record+replay, forcing every group to generate live, and letting
-// auto mode choose per group must all yield the exact same figures.
-func TestExperimentsFiguresIdenticalAcrossFrontFillModes(t *testing.T) {
-	build := func(mode FrontFillMode) (Figure, Figure) {
+// TestExperimentsFiguresIdenticalSharedFront pins the shared front's
+// bit-identity contract end to end: one RunCells call puts every
+// benchmark at two L2 latencies, so each benchmark's two lockstep groups
+// replay one front, and the figures at both latencies must equal the
+// all-scalar (DisableBatch) figures exactly.
+func TestExperimentsFiguresIdenticalSharedFront(t *testing.T) {
+	l2s := []int{5, 11}
+	build := func(disable bool) ([]Figure, int) {
 		e := NewExperiments()
 		e.Instructions = 60_000
 		e.Warmup = 30_000
 		e.Profiles = e.Profiles[:3]
-		e.FrontFill = mode
+		e.DisableBatch = disable
 		defer e.Close()
-		return e.LatencyFigure("S", "P", 11, 110, 4096)
-	}
-	savAuto, perfAuto := build(FrontFillAuto)
-	for _, mode := range []FrontFillMode{FrontFillTrace, FrontFillLive} {
-		sav, perf := build(mode)
-		if !reflect.DeepEqual(savAuto, sav) || !reflect.DeepEqual(perfAuto, perf) {
-			t.Fatalf("figures differ between front-fill auto and %v:\nauto %v\n%v    %v",
-				mode, savAuto, mode, sav)
+		if _, err := e.RunCells(sharedFrontCells(e.Profiles, l2s, 4096)); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestParseFrontFillMode covers the flag-value round trip.
-func TestParseFrontFillMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want FrontFillMode
-	}{{"auto", FrontFillAuto}, {"", FrontFillAuto}, {"trace", FrontFillTrace}, {"live", FrontFillLive}} {
-		got, err := ParseFrontFillMode(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParseFrontFillMode(%q) = %v, %v", c.in, got, err)
+		var figs []Figure
+		for _, l2 := range l2s {
+			sav, perf := e.LatencyFigure("S", "P", l2, 110, 4096)
+			figs = append(figs, sav, perf)
 		}
+		return figs, e.BatchGroups()
 	}
-	if _, err := ParseFrontFillMode("bogus"); err == nil {
-		t.Fatal("ParseFrontFillMode(bogus) accepted")
+	batched, groups := build(false)
+	scalar, _ := build(true)
+	if !reflect.DeepEqual(batched, scalar) {
+		t.Fatalf("figures differ between shared-front batches and DisableBatch:\nbatched %v\nscalar  %v", batched, scalar)
+	}
+	if want := 3 * len(l2s); groups != want {
+		t.Fatalf("BatchGroups = %d, want %d", groups, want)
 	}
 }
 

@@ -27,13 +27,14 @@ var (
 // lap counter and re-run live (see runWithTrace).
 const traceSlack = 4096
 
-// TraceCache shares recorded instruction streams across a sweep: per
-// (benchmark, run length) the synthetic generator runs once, into a
-// compact encoded trace.Buffer, and every simulation cell replays it
-// through a private cursor. For the full figure sweep that collapses
-// ~150+ generator passes into one per benchmark while every RunResult
-// stays bit-identical (the recorded stream IS the generator's stream, and
-// parity tests enforce it per profile and technique).
+// TraceCache shares recorded instruction streams across a sweep's
+// scalar-path cells: per (benchmark, run length) the synthetic generator
+// runs once, into a compact encoded trace.Buffer, and every scalar cell
+// replays it through a private cursor while every RunResult stays
+// bit-identical (the recorded stream IS the generator's stream, and
+// parity tests enforce it per profile and technique). Lockstep batch
+// groups do not use it: their shared fronts fill live, once per
+// benchmark (batch.go).
 //
 // Recording is single-flight: concurrent cells for the same benchmark
 // elect one recording leader and the rest wait. With a non-empty SpillDir
@@ -107,18 +108,6 @@ func (tc *TraceCache) buffer(ctx context.Context, prof workload.Profile, n uint6
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// has reports whether a recording for prof at n instructions exists or is
-// in flight — i.e. whether a front fill through the trace path would hit
-// (or ride the in-flight leader's recording) rather than record. It feeds
-// the batch planner's auto front-fill decision and never starts a
-// recording itself.
-func (tc *TraceCache) has(prof workload.Profile, n uint64) bool {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	_, ok := tc.buffers[traceKey{bench: prof.Name, n: n}]
-	return ok
 }
 
 // Close releases every buffer (removing spill files). The cache is

@@ -31,6 +31,9 @@ const (
 	version = 1
 	// takenBit is folded into the op byte for CTIs.
 	takenBit = 0x80
+	// minRecordBytes is the smallest encoded record: the op byte and three
+	// one-byte varints (PC delta and both source distances).
+	minRecordBytes = 4
 )
 
 // Writer serializes instructions to an underlying writer.
@@ -257,12 +260,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, err
 	}
 	rd := &Reader{name: h.name, hint: h.hint}
-	// The count hint is untrusted input: use it for preallocation only
-	// within a sane bound (the records themselves define the length).
-	if rd.hint > 0 && rd.hint <= 1<<26 {
-		rd.records = make([]workload.Instr, 0, rd.hint)
+	// The count hint is untrusted input: it sizes the preallocation only
+	// up to the records the payload can hold, so a forged hint cannot
+	// reserve memory no record will fill (the records define the length).
+	payload := data[h.size:]
+	if n := min(rd.hint, uint64(len(payload)/minRecordBytes)); n > 0 {
+		rd.records = make([]workload.Instr, 0, n)
 	}
-	dec := decoder{data: data[h.size:]}
+	dec := decoder{data: payload}
 	for {
 		var ins workload.Instr
 		err := dec.next(&ins)
