@@ -26,10 +26,12 @@ build:
 test: build
 	$(GO) test ./...
 
-# The verify tier: static analysis plus the full suite under the race
-# detector, and the perfbench module, which ./... does not reach (it has
-# its own go.mod). Slower than `make test`; run before merging.
+# The verify tier: formatting (every tracked Go file must be gofmt-clean;
+# the failing files are listed), static analysis plus the full suite under
+# the race detector, and the perfbench module, which ./... does not reach
+# (it has its own go.mod). Slower than `make test`; run before merging.
 verify: build
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))" || { gofmt -l $$(git ls-files '*.go'); exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	cd perfbench && $(GO) vet . && $(GO) test .

@@ -203,6 +203,10 @@ func run() error {
 		logger.Printf("leakd: store GC every %s (ttl=%s, max-bytes=%d)", *gcInterval, *storeTTL, *storeMaxB)
 	}
 
+	// Catch the drain signals before listening: a SIGTERM that lands as
+	// soon as the "listening" line is out must drain, not kill.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -212,8 +216,6 @@ func run() error {
 	logger.Printf("leakd: listening on http://%s, store %s (%d cells)",
 		ln.Addr(), *storeDir, st.Len())
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	<-ctx.Done()
 	stopSignals()
 

@@ -46,6 +46,9 @@ func (c Config) Validate() error {
 	if c.HitLatency < 1 {
 		return fmt.Errorf("cache %q: hit latency must be >= 1", c.Name)
 	}
+	if tb := 64 - bits.TrailingZeros(uint(c.LineBytes)) - bits.TrailingZeros(uint(s)); tb > maxTagBits {
+		return fmt.Errorf("cache %q: %d-bit tag exceeds %d bits (line*sets must be at least 4 bytes)", c.Name, tb, maxTagBits)
+	}
 	return nil
 }
 
@@ -67,13 +70,26 @@ func (c Config) Geometry() power.CacheGeometry {
 	}
 }
 
-// Line is one cache line's bookkeeping state.
+// Line is one cache line's bookkeeping state, packed to 16 bytes: the tag
+// word carries the valid and dirty bits in its top two bits (New rejects
+// any geometry whose tag could reach them).
 type Line struct {
-	Tag     uint64
-	Valid   bool
-	Dirty   bool
+	tag     uint64
 	LastUse uint64 // access-order stamp for LRU
 }
+
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+	// maxTagBits is the widest tag that stays clear of the state bits.
+	maxTagBits = 62
+)
+
+func (l *Line) valid() bool { return l.tag&lineValid != 0 }
+func (l *Line) dirty() bool { return l.tag&lineDirty != 0 }
+
+// addrTag is the line's address tag without the state bits.
+func (l *Line) addrTag() uint64 { return l.tag &^ (lineValid | lineDirty) }
 
 // Stats accumulates per-level event counts.
 type Stats struct {
@@ -246,11 +262,11 @@ func (c *Cache) Access(addr uint64, write bool, cycle uint64) int {
 
 	for i := range ways {
 		l := &ways[i]
-		if l.Valid && l.Tag == tag {
+		if l.tag&^lineDirty == tag|lineValid {
 			c.Stats.Hits++
 			l.LastUse = c.useStamp
 			if write {
-				l.Dirty = true
+				l.tag |= lineDirty
 				c.DynJ += c.Energy.WriteHit
 			} else {
 				c.DynJ += c.Energy.ReadHit
@@ -276,7 +292,7 @@ func (c *Cache) fill(set, tag uint64, write bool, cycle uint64) {
 	ways := c.set(set)
 	victim := 0
 	for i := range ways {
-		if !ways[i].Valid {
+		if !ways[i].valid() {
 			victim = i
 			break
 		}
@@ -285,10 +301,13 @@ func (c *Cache) fill(set, tag uint64, write bool, cycle uint64) {
 		}
 	}
 	v := &ways[victim]
-	if v.Valid && v.Dirty {
+	if v.valid() && v.dirty() {
 		c.writeback(set, v, cycle)
 	}
-	*v = Line{Tag: tag, Valid: true, Dirty: write, LastUse: c.useStamp}
+	*v = Line{tag: tag | lineValid, LastUse: c.useStamp}
+	if write {
+		v.tag |= lineDirty
+	}
 	c.Stats.Fills++
 	c.DynJ += c.Energy.LineFill
 }
@@ -300,10 +319,10 @@ func (c *Cache) writeback(set uint64, v *Line, cycle uint64) {
 	c.DynJ += c.Energy.LineRead
 	if c.Next != nil {
 		setsBits := bits.TrailingZeros64(c.setMask + 1)
-		addr := ((v.Tag << setsBits) | set) << c.lineShift
+		addr := ((v.addrTag() << setsBits) | set) << c.lineShift
 		c.Next.Access(addr, true, cycle)
 	}
-	v.Dirty = false
+	v.tag &^= lineDirty
 }
 
 // Contains reports whether addr's line is present (for tests and the
@@ -311,7 +330,7 @@ func (c *Cache) writeback(set uint64, v *Line, cycle uint64) {
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.Index(addr)
 	for _, l := range c.set(set) {
-		if l.Valid && l.Tag == tag {
+		if l.tag&^lineDirty == tag|lineValid {
 			return true
 		}
 	}
@@ -324,7 +343,7 @@ func (c *Cache) Flush(cycle uint64) {
 	for s := 0; s < sets; s++ {
 		ways := c.set(uint64(s))
 		for i := range ways {
-			if ways[i].Valid && ways[i].Dirty {
+			if ways[i].valid() && ways[i].dirty() {
 				c.writeback(uint64(s), &ways[i], cycle)
 			}
 			ways[i] = Line{}

@@ -379,16 +379,20 @@ type Core struct {
 	// instruction stream and predictor outcomes come from the shared
 	// precomputed records (see front.go) instead of Gen/Pred, and the
 	// recorded predictor-stat deltas accumulate in BP. frontPos is this
-	// lane's read position. Both are zeroed by build(), so Recycle always
-	// returns a live-mode core.
+	// lane's read position, and frontCur the chunk it reads from, valid
+	// below frontEnd. All are zeroed by build(), so Recycle always returns
+	// a live-mode core.
 	front    *Front
 	frontPos int
+	frontEnd int
+	frontCur *FrontChunk
 
 	// BP mirrors bpred.Stats for a replaying core. On the live path the
 	// predictor itself counts; in replay mode the shared predictor ran once
-	// during Fill, so each lane reconstructs its own per-run stats from the
-	// recorded delta bits. ResetStats zeroes it alongside Stats, matching
-	// the scalar path's pred.ResetStats() at the warmup boundary.
+	// during the front's fill, so each lane reconstructs its own per-run
+	// stats from the recorded delta bits. ResetStats zeroes it alongside
+	// Stats, matching the scalar path's pred.ResetStats() at the warmup
+	// boundary.
 	BP bpred.Stats
 }
 

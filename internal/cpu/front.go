@@ -20,6 +20,8 @@ package cpu
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"hotleakage/internal/bpred"
 	"hotleakage/internal/workload"
@@ -52,7 +54,7 @@ const (
 // FrontRec is one precomputed instruction, packed to 32 bytes: the
 // decoded fields replay reads plus the variant-independent front-end
 // outcome flags. The CTI target is not kept — the predictor consumes it
-// during Fill and replay never reads it.
+// during the fill and replay never reads it.
 type FrontRec struct {
 	PC, Addr   uint64
 	Src1, Src2 int32
@@ -60,31 +62,138 @@ type FrontRec struct {
 	Flags      uint8
 }
 
-// Front is a fully materialized precomputed stream. It is filled once and
-// then read concurrently — Fill must complete before any lane consumes it,
-// and the records are immutable afterwards.
-type Front struct {
-	Recs []FrontRec
+// FrontChunkShift sizes a front chunk: 1<<16 records, 2 MiB.
+const (
+	FrontChunkShift = 16
+	FrontChunkLen   = 1 << FrontChunkShift
+)
+
+// FrontChunk is one fixed-size run of consecutive front records.
+type FrontChunk [FrontChunkLen]FrontRec
+
+// FrontChunks supplies chunk storage to a front and takes it back once
+// every reader has passed it.
+type FrontChunks interface {
+	Get() *FrontChunk
+	Put(*FrontChunk)
 }
 
-// Fill precomputes n instructions from gen through pred, reusing the
-// record storage's capacity. pred must be freshly built or Reset: it plays
-// the role every lane's private predictor plays on the scalar path, and
-// its table state after Fill is exactly the scalar predictor's state after
-// the same stream (the parity tests pin this).
-func (f *Front) Fill(gen *workload.Generator, pred *bpred.Predictor, n uint64) {
-	if uint64(cap(f.Recs)) >= n {
-		f.Recs = f.Recs[:n]
-	} else {
-		f.Recs = make([]FrontRec, n)
+// Front is a precomputed stream held as a fixed table of chunks. Chunks
+// are filled in stream order the first time any reader needs them and are
+// immutable once published, so readers load them lock-free. Each chunk
+// carries one reference per registered reader (a lockstep group); a
+// reader drops its references with Release as it passes chunks, and a
+// chunk goes back to the store when its last reference is dropped. A
+// reader that has not started still holds every chunk, so the worst case
+// is the whole stream.
+type Front struct {
+	n      uint64
+	chunks []atomic.Pointer[FrontChunk]
+	refs   []atomic.Int32
+	store  FrontChunks
+
+	// Fill state, under mu: chunks below filled have been filled (and
+	// possibly released since). The generator and predictor are dropped
+	// after the last chunk, or when a fill fails; err is that failure.
+	mu       sync.Mutex
+	filled   int
+	err      error
+	gen      *workload.Generator
+	pred     *bpred.Predictor
+	lastLine uint64
+}
+
+// NewFront returns an unfilled front of n records shared by readers
+// readers, with chunk storage from store.
+func NewFront(n uint64, readers int, store FrontChunks) *Front {
+	nc := int((n + FrontChunkLen - 1) >> FrontChunkShift)
+	f := &Front{
+		n:        n,
+		chunks:   make([]atomic.Pointer[FrontChunk], nc),
+		refs:     make([]atomic.Int32, nc),
+		store:    store,
+		lastLine: ^uint64(0),
 	}
+	for i := range f.refs {
+		f.refs[i].Store(int32(readers))
+	}
+	return f
+}
+
+// Start sets the fill source: the stream comes from gen and its predictor
+// outcomes from pred. pred must be freshly built: it plays the role every
+// lane's private predictor plays on the scalar path, and its table state
+// after the stream is exactly the scalar predictor's (the parity tests pin
+// this). Start must happen before any reader runs.
+func (f *Front) Start(gen *workload.Generator, pred *bpred.Predictor) {
+	f.gen, f.pred = gen, pred
+}
+
+// Chunks returns the length of the chunk table.
+func (f *Front) Chunks() int { return len(f.chunks) }
+
+// Release drops one reference to each chunk in [from, to): a reader is
+// past them. A chunk whose last reference goes returns to the store.
+func (f *Front) Release(from, to int) {
+	for i := from; i < to; i++ {
+		if f.refs[i].Add(-1) == 0 {
+			if c := f.chunks[i].Swap(nil); c != nil {
+				f.store.Put(c)
+			}
+		}
+	}
+}
+
+// chunk returns chunk i, filling the stream up to it if no reader has.
+// A published chunk costs one atomic load; only the first reader of an
+// unfilled chunk takes the fill lock. A failed fill makes every later
+// request panic with the fill error.
+func (f *Front) chunk(i int) *FrontChunk {
+	if c := f.chunks[i].Load(); c != nil {
+		return c
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	// Re-check under the lock: a sibling may have published chunk i while
+	// this reader waited, and only then does "below filled, but nil" mean
+	// released.
+	if c := f.chunks[i].Load(); c != nil {
+		return c
+	}
+	if f.err != nil {
+		panic(f.err)
+	}
+	if i < f.filled {
+		panic(fmt.Sprintf("cpu: front chunk %d read after release", i))
+	}
+	var c *FrontChunk
+	for f.filled <= i {
+		c = f.fillNext()
+	}
+	return c
+}
+
+// fillNext fills and publishes the next chunk in stream order. Called
+// with mu held.
+func (f *Front) fillNext() *FrontChunk {
+	defer func() {
+		if r := recover(); r != nil {
+			f.err = fmt.Errorf("batch front fill: %v", r)
+			f.gen, f.pred = nil, nil
+			panic(f.err)
+		}
+	}()
+	k := f.filled
+	c := f.store.Get()
+	base := uint64(k) << FrontChunkShift
+	recs := c[:min(f.n-base, FrontChunkLen)]
+	gen, pred := f.gen, f.pred
 	var ins workload.Instr
-	lastLine := ^uint64(0)
-	for i := range f.Recs {
+	for i := range recs {
 		gen.Next(&ins)
 		flags := uint8(0)
-		if line := ins.PC >> 6; line != lastLine {
-			lastLine = line
+		if line := ins.PC >> 6; line != f.lastLine {
+			f.lastLine = line
 			flags = FrontICAccess
 		}
 		if ins.Taken {
@@ -109,8 +218,22 @@ func (f *Front) Fill(gen *workload.Generator, pred *bpred.Predictor, n uint64) {
 				flags |= FrontBPBTBMiss
 			}
 		}
-		f.Recs[i] = FrontRec{PC: ins.PC, Addr: ins.Addr, Src1: ins.Src1, Src2: ins.Src2, Op: ins.Op, Flags: flags}
+		recs[i] = FrontRec{PC: ins.PC, Addr: ins.Addr, Src1: ins.Src1, Src2: ins.Src2, Op: ins.Op, Flags: flags}
 	}
+	f.chunks[k].Store(c)
+	f.filled++
+	if f.filled == len(f.chunks) {
+		f.gen, f.pred = nil, nil
+	}
+	// Every reader may already have released a chunk it never read (a
+	// group that exited early); hand such a chunk straight back. Release
+	// swaps too, so exactly one side returns it.
+	if f.refs[k].Load() <= 0 {
+		if c := f.chunks[k].Swap(nil); c != nil {
+			f.store.Put(c)
+		}
+	}
+	return c
 }
 
 // AttachFront switches the core into replay mode: fetch consumes the
@@ -122,6 +245,29 @@ func (f *Front) Fill(gen *workload.Generator, pred *bpred.Predictor, n uint64) {
 func (c *Core) AttachFront(f *Front) {
 	c.front = f
 	c.frontPos = 0
+	c.frontEnd = 0
+	c.frontCur = nil
+}
+
+// FrontPos returns how many front records the core has fetched: it never
+// reads a record below this position again.
+func (c *Core) FrontPos() int { return c.frontPos }
+
+// nextFrontChunk moves the core's read window onto the chunk holding
+// frontPos.
+func (c *Core) nextFrontChunk() {
+	f := c.front
+	if uint64(c.frontPos) >= f.n {
+		// The front was sized to the run length plus slack
+		// (warmup+measure+slack), which bounds every lane's fetch-ahead;
+		// running past it means the run was asked for more instructions
+		// than the front holds. The batch executor recovers the panic into
+		// a per-lane failure and re-runs the cell on the scalar path.
+		panic(fmt.Sprintf("cpu: front exhausted at %d records", f.n))
+	}
+	i := c.frontPos >> FrontChunkShift
+	c.frontCur = f.chunk(i)
+	c.frontEnd = int(min(uint64(i+1)<<FrontChunkShift, f.n))
 }
 
 // fetchReplay is fetch for a front-attached core: structurally identical
@@ -149,19 +295,12 @@ func (c *Core) fetchReplay(cycle uint64) bool {
 	if c.nextSeq-c.tail >= uint64(2*c.Cfg.FetchWidth) {
 		return false
 	}
-	recs := c.front.Recs
 	mask := c.ringMask
 	for w := 0; w < c.Cfg.FetchWidth; w++ {
-		if c.frontPos >= len(recs) {
-			// The front was sized to the run length plus slack
-			// (warmup+measure+slack), which bounds every lane's fetch-ahead;
-			// running past it means the run was asked for more instructions
-			// than the front holds. The batch executor recovers the panic
-			// into a per-lane failure and re-runs the cell on the scalar
-			// path.
-			panic(fmt.Sprintf("cpu: front exhausted at %d records", len(recs)))
+		if c.frontPos >= c.frontEnd {
+			c.nextFrontChunk()
 		}
-		rec := &recs[c.frontPos]
+		rec := &c.frontCur[c.frontPos&(FrontChunkLen-1)]
 		c.frontPos++
 		seq := c.nextSeq
 		c.nextSeq = seq + 1

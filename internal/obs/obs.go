@@ -340,7 +340,7 @@ const (
 	MetricBatchLanes          = "sim_batch_lanes_total"
 	MetricBatchScalarFallback = "sim_batch_scalar_fallback_total"
 	GaugeBatchLaneOccupancy   = "sim_batch_lane_occupancy_x100"
-	// GaugeFrontResident is the record bytes held by the batch executor's
+	// GaugeFrontResident is the chunk bytes held by the batch executor's
 	// shared fronts, live and on the free list (internal/sim).
 	GaugeFrontResident = "sim_front_resident_bytes"
 	// Sweep retention (internal/server): terminal sweeps evicted from the

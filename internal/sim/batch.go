@@ -3,9 +3,9 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -20,7 +20,7 @@ import (
 )
 
 // Shared-front instruments: fronts filled (always live, from the
-// generator) and the record bytes held. sim_front_fill_trace_total is
+// generator) and the chunk bytes held. sim_front_fill_trace_total is
 // registered only so that it keeps rendering at zero: batch fronts no
 // longer fill from the trace cache, and dashboards and the benchmark's
 // scrape keep a stable schema.
@@ -30,8 +30,8 @@ var (
 	obsFrontResident = obs.Default.Gauge(obs.GaugeFrontResident)
 )
 
-// frontRecBytes is one packed front record's size.
-const frontRecBytes = int64(unsafe.Sizeof(cpu.FrontRec{}))
+// frontChunkBytes is one front chunk's size.
+const frontChunkBytes = int64(unsafe.Sizeof(cpu.FrontChunk{}))
 
 // frontKey identifies a front's contents: the stream (benchmark and
 // length) and the predictor that precomputed its outcomes. Nothing else in
@@ -43,23 +43,26 @@ type frontKey struct {
 	bp    bpred.Config
 }
 
-// sharedFront is one benchmark's front within a batch phase: filled once
-// by whichever of its groups gets there first, then read concurrently by
-// all of them. A failed fill fails every group that shares it.
+// sharedFront is one benchmark's front within a batch phase: its chunks
+// are filled by whichever of its groups needs them first and read
+// concurrently by all of them, each group holding one reference per chunk
+// until it has passed it. A failed fill fails every group that shares it.
 type sharedFront struct {
-	pool  *frontPool
+	front *cpu.Front
 	once  sync.Once
-	front cpu.Front
 	err   error
-	// groups counts the benchmark's groups still to finish; the planner
-	// returns the records to the pool when it reaches zero.
-	groups atomic.Int32
 }
 
-// fill fills the front on first call, from a fresh generator through bs's
-// predictor into storage from the pool; later calls wait for that fill and
-// return its outcome. A canceled ctx or a panic during fill is the error.
-func (sf *sharedFront) fill(ctx context.Context, bs *BatchState, mc MachineConfig, prof workload.Profile) error {
+// newSharedFront returns an unfilled front of n records for groups groups,
+// with chunk storage from chunks.
+func newSharedFront(chunks cpu.FrontChunks, n uint64, groups int) *sharedFront {
+	return &sharedFront{front: cpu.NewFront(n, groups, chunks)}
+}
+
+// open starts the fill on first call — a fresh generator and predictor
+// that the front keeps until its last chunk is filled — and returns that
+// outcome on every call. A canceled ctx or a panic is the error.
+func (sf *sharedFront) open(ctx context.Context, mc MachineConfig, prof workload.Profile) error {
 	sf.once.Do(func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -69,70 +72,59 @@ func (sf *sharedFront) fill(ctx context.Context, bs *BatchState, mc MachineConfi
 		if sf.err = ctx.Err(); sf.err != nil {
 			return
 		}
-		if bs.pred == nil || bs.predCfg != mc.Bpred {
-			bs.pred = bpred.New(mc.Bpred)
-			bs.predCfg = mc.Bpred
-		} else {
-			bs.pred.Reset()
-		}
-		sf.front.Recs = sf.pool.get()
-		had := cap(sf.front.Recs)
-		sf.front.Fill(workload.NewGenerator(prof), bs.pred, mc.Warmup+mc.Instructions+traceSlack)
-		obsFrontResident.Add(int64(cap(sf.front.Recs)-had) * frontRecBytes)
+		sf.front.Start(workload.NewGenerator(prof), bpred.New(mc.Bpred))
 		obsFrontFillLive.Add(1)
 	})
 	return sf.err
 }
 
-// frontPool is the free list of front record storage, accounted in
-// sim_front_resident_bytes together with the live fronts filled from it.
-// It is an explicit list rather than a sync.Pool so that peak memory does
-// not depend on GC timing: a benchmark's records return here when its
-// last group finishes and the next benchmark's fill reuses them.
+// frontPool is the free list of front chunks, accounted in
+// sim_front_resident_bytes together with the live chunks handed out from
+// it. It is an explicit list rather than a sync.Pool so that peak memory
+// does not depend on GC timing: a chunk returns here as soon as every
+// group sharing its front has passed it, and the next fill reuses it.
 type frontPool struct {
 	mu   sync.Mutex
-	free [][]cpu.FrontRec
+	free []*cpu.FrontChunk
 }
 
-// get pops free storage, or nil when the list is empty.
-func (p *frontPool) get() (recs []cpu.FrontRec) {
+// Get implements cpu.FrontChunks: it pops a free chunk or allocates one.
+func (p *frontPool) Get() *cpu.FrontChunk {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
-		recs, p.free = p.free[n-1], p.free[:n-1]
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		return c
 	}
-	return recs
+	obsFrontResident.Add(frontChunkBytes)
+	return new(cpu.FrontChunk)
 }
 
-func (p *frontPool) put(recs []cpu.FrontRec) {
+// Put implements cpu.FrontChunks.
+func (p *frontPool) Put(c *cpu.FrontChunk) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if cap(recs) > 0 {
-		p.free = append(p.free, recs)
-	}
+	p.free = append(p.free, c)
 }
 
 // drain drops the free list.
 func (p *frontPool) drain() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, recs := range p.free {
-		obsFrontResident.Add(-int64(cap(recs)) * frontRecBytes)
-	}
+	obsFrontResident.Add(-int64(len(p.free)) * frontChunkBytes)
 	p.free = nil
 }
 
-// BatchState is one batch-executor goroutine's reusable scratch: the
-// predictor a front fill runs through, and one RunState per lane so
-// every lane's machine components are reused run-to-run exactly like the
-// scalar workers' (cpu.Recycle / RunState.reuse reset them to pristine;
-// the reuse parity tests cover the batch fields too).
+// BatchState is one batch-executor goroutine's reusable scratch: one
+// RunState per lane, so every lane's machine components are reused
+// run-to-run exactly like the scalar workers' (cpu.Recycle /
+// RunState.reuse reset them to pristine; the reuse parity tests cover the
+// batch fields too).
 //
 // A BatchState must not be shared between concurrently executing groups.
 type BatchState struct {
-	pred    *bpred.Predictor
-	predCfg bpred.Config
-	lanes   []*RunState
+	lanes []*RunState
 }
 
 // batchLane is one cell riding a lockstep group: its spec going in, and
@@ -177,8 +169,10 @@ func failLanes(lanes []*batchLane, err error) {
 
 // runBatchGroup executes a group of technique/interval variants of one
 // (benchmark, machine config) in lockstep off the benchmark's shared front
-// sf, filling it if no other group has. Each lane advances by exactly the
-// scalar path's chunk sequence — warmup in runChunk steps, the
+// sf, filling its chunks as the group reaches them if no other group has.
+// After every round the group releases the chunks below its slowest live
+// lane, and on return every chunk it still holds. Each lane advances by
+// exactly the scalar path's chunk sequence — warmup in runChunk steps, the
 // runOneFromState warmup-boundary resets, then the measurement window in
 // runChunk steps — so a lane's Run-call sequence is literally the one
 // runCommitted would have issued and the results are bit-identical to
@@ -189,11 +183,13 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 		ctx = context.Background()
 	}
 	start := time.Now()
+	held := 0 // chunks below held are released
+	defer func() { sf.front.Release(held, sf.front.Chunks()) }()
 	if err := mc.Validate(); err != nil {
 		failLanes(lanes, fmt.Errorf("%w: %v", ErrInvalidConfig, err))
 		return
 	}
-	if err := sf.fill(ctx, bs, mc, prof); err != nil {
+	if err := sf.open(ctx, mc, prof); err != nil {
 		failLanes(lanes, err)
 		return
 	}
@@ -234,7 +230,7 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 			ln.err = err
 			continue
 		}
-		m.core.AttachFront(&sf.front)
+		m.core.AttachFront(sf.front)
 		lr := &laneRun{ln: ln, m: m, params: params, inWarmup: mc.Warmup > 0}
 		if lr.inWarmup {
 			lr.left = mc.Warmup
@@ -255,6 +251,7 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 	// one lane surfaces while its batch-mates are mid-flight.
 	active := len(runnable)
 	for active > 0 {
+		slowest := math.MaxInt
 		for _, lr := range runnable {
 			if lr.done {
 				continue
@@ -262,7 +259,13 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 			stepLane(ctx, mc, prof, lr)
 			if lr.done {
 				active--
+				continue
 			}
+			slowest = min(slowest, lr.m.core.FrontPos())
+		}
+		if c := slowest >> cpu.FrontChunkShift; active > 0 && c > held {
+			sf.front.Release(held, c)
+			held = c
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 
 	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/leakctl"
+	"hotleakage/internal/obs"
 	"hotleakage/internal/workload"
 )
 
@@ -32,12 +33,11 @@ func testPool(t *testing.T) *frontPool {
 	return p
 }
 
-// testFront returns a standalone front whose records go back to a
-// test-scoped pool when the test ends.
-func testFront(t *testing.T) *sharedFront {
-	sf := &sharedFront{pool: testPool(t)}
-	t.Cleanup(func() { sf.pool.put(sf.front.Recs) })
-	return sf
+// testFront returns a standalone front sized for mc and shared by groups
+// groups, with chunks from a test-scoped pool. Each group releases its
+// chunks as it runs, so the pool ends the test holding all of them.
+func testFront(t *testing.T, mc MachineConfig, groups int) *sharedFront {
+	return newSharedFront(testPool(t), mc.Warmup+mc.Instructions+traceSlack, groups)
 }
 
 // TestBatchScalarParityAllProfiles is the bit-identity contract behind the
@@ -46,7 +46,7 @@ func testFront(t *testing.T) *sharedFront {
 // produce, lane for lane, exactly the RunResult the scalar path produces —
 // stats, energies, predictor counters, turnoff ratios, everything. The
 // BatchState is reused dirty across benchmarks, so cross-group recycling
-// is under the same contract, and so are the front records, which cycle
+// is under the same contract, and so are the front chunks, which cycle
 // through one free list.
 func TestBatchScalarParityAllProfiles(t *testing.T) {
 	mc := parityMachine(11)
@@ -59,9 +59,8 @@ func TestBatchScalarParityAllProfiles(t *testing.T) {
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		sf := &sharedFront{pool: pool}
+		sf := newSharedFront(pool, mc.Warmup+mc.Instructions+traceSlack, 1)
 		runBatchGroup(ctx, mc, prof, lanes, sf, nil, bs)
-		pool.put(sf.front.Recs)
 		for _, ln := range lanes {
 			if ln.err != nil {
 				t.Fatalf("%s lane %s: %v", prof.Name, ln.sp.key(), ln.err)
@@ -91,7 +90,7 @@ func TestBatchParityLiveFront(t *testing.T) {
 	for i, sp := range specs {
 		lanes[i] = &batchLane{sp: sp}
 	}
-	runBatchGroup(ctx, mc, prof, lanes, testFront(t), nil, new(BatchState))
+	runBatchGroup(ctx, mc, prof, lanes, testFront(t, mc, 1), nil, new(BatchState))
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("lane %s: %v", ln.sp.key(), ln.err)
@@ -120,7 +119,7 @@ func TestBatchLaneScalarReuseParity(t *testing.T) {
 		{sp: runSpec{prof, 11, leakctl.TechDrowsy, 1024}},
 		{sp: runSpec{prof, 11, leakctl.TechGated, 65536}},
 	}
-	runBatchGroup(ctx, mc, prof, lanes, testFront(t), nil, bs)
+	runBatchGroup(ctx, mc, prof, lanes, testFront(t, mc, 1), nil, bs)
 	for _, ln := range lanes {
 		if ln.err != nil {
 			t.Fatalf("batch lane %s: %v", ln.sp.key(), ln.err)
@@ -161,11 +160,11 @@ func TestBatchStateReuseBitIdentity(t *testing.T) {
 		for i, sp := range specs {
 			lanes[i] = &batchLane{sp: sp}
 		}
-		runBatchGroup(ctx, mc, prof, lanes, testFront(t), nil, bs)
+		runBatchGroup(ctx, mc, prof, lanes, testFront(t, mc, 1), nil, bs)
 		return lanes
 	}
 	dirty := new(BatchState)
-	run(dirty, profA) // dirty the predictor and lane states
+	run(dirty, profA) // dirty the lane states
 	got := run(dirty, profB)
 	want := run(new(BatchState), profB)
 	for i := range want {
@@ -311,5 +310,31 @@ func TestBatchDeferredFaultKinds(t *testing.T) {
 	}
 	if e.BatchGroups() == 0 {
 		t.Fatal("sweep did not exercise the batch phase")
+	}
+}
+
+// TestBatchFeedsWorkerBusy checks that the batch executor reports its
+// groups' busy time in harness_worker_busy_ms_total, the counter behind
+// the pool's utilization, on a RunCells that never reaches the scalar
+// supervisor.
+func TestBatchFeedsWorkerBusy(t *testing.T) {
+	e := NewExperiments()
+	e.Instructions = 40_000
+	e.Warmup = 10_000
+	e.Profiles = e.Profiles[:2]
+	e.Workers = 2
+	defer e.Close()
+	busy0, fallback0 := counter(obs.MetricWorkerBusyMS), counter(obs.MetricBatchScalarFallback)
+	if _, err := e.RunCells(sharedFrontCells(e.Profiles, []int{5, 11}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(obs.MetricBatchScalarFallback) - fallback0; got != 0 {
+		t.Fatalf("%d cells fell back to the scalar path, want a fully batched run", got)
+	}
+	if e.BatchGroups() != 4 {
+		t.Fatalf("BatchGroups = %d, want 4", e.BatchGroups())
+	}
+	if counter(obs.MetricWorkerBusyMS) <= busy0 {
+		t.Fatal("a fully batched run did not raise harness_worker_busy_ms_total")
 	}
 }

@@ -47,9 +47,10 @@ var obsRemoteDegraded = obs.Default.Counter(obs.MetricRemoteDegraded)
 // Lockstep-batch outcome metrics: executed groups, the lanes they
 // carried, lanes bounced back to the scalar supervisor, and the last
 // sweep's mean occupancy (lanes per group, in hundredths). The
-// run-completion and checkpoint-hit counters are shared with the harness
-// (registration is idempotent by name), so progress/ETA math sees batch
-// lanes and scalar runs through one pair of counters.
+// run-completion, checkpoint-hit and worker-busy counters are shared
+// with the harness (registration is idempotent by name), so progress/ETA
+// and utilization math see batch lanes and scalar runs through one set of
+// counters.
 var (
 	obsBatchGroups    = obs.Default.Counter(obs.MetricBatchGroups)
 	obsBatchLanes     = obs.Default.Counter(obs.MetricBatchLanes)
@@ -57,6 +58,7 @@ var (
 	obsBatchOccupancy = obs.Default.Gauge(obs.GaugeBatchLaneOccupancy)
 	obsBatchRunsDone  = obs.Default.Counter(obs.MetricRunsCompleted)
 	obsBatchCkptHits  = obs.Default.Counter(obs.MetricCheckpointHits)
+	obsBatchBusy      = obs.Default.Counter(obs.MetricWorkerBusyMS)
 )
 
 // DefaultInterval is the fixed decay interval used for the non-adaptive
@@ -199,13 +201,13 @@ type Experiments struct {
 	// stay deterministic.
 	AdapterFor func(bench string, t leakctl.Technique, interval uint64) leakctl.Adapter
 
-	mu        sync.Mutex
-	suites    map[int]*Suite // per L2 latency
-	runs      map[string]RunResult
-	failures  map[string]*harness.RunError
-	sup       *harness.Supervisor[RunResult]
-	ckpt      *harness.Checkpoint
-	supErr    error
+	mu       sync.Mutex
+	suites   map[int]*Suite // per L2 latency
+	runs     map[string]RunResult
+	failures map[string]*harness.RunError
+	sup      *harness.Supervisor[RunResult]
+	ckpt     *harness.Checkpoint
+	supErr   error
 	// Attack-cell memo and supervisor (attack_cells.go). The maps are
 	// lazily initialized so zero-value and literal-constructed Experiments
 	// keep working; asup shares e.ckpt with the energy supervisor (the
@@ -213,17 +215,16 @@ type Experiments struct {
 	attackRuns     map[string]attack.Result
 	attackFailures map[string]*harness.RunError
 	asup           *harness.Supervisor[attack.Result]
-	executed  int // runs actually simulated this process
-	resumed   int // runs restored from the checkpoint
-	storeHits int // runs served from the content-addressed store
-	remoted   int // runs delegated to a remote daemon
-	storeErr  error
+	executed       int // runs actually simulated this process
+	resumed        int // runs restored from the checkpoint
+	storeHits      int // runs served from the content-addressed store
+	remoted        int // runs delegated to a remote daemon
+	storeErr       error
 
 	// batchGroups / batchLanes count lockstep groups executed and the
 	// cells they carried; batchStates is the pool of per-goroutine batch
-	// scratch (front predictor, lane RunStates) and fronts the free list
-	// of shared-front records, both reused across groups and runSpecs
-	// calls.
+	// scratch (lane RunStates) and fronts the free list of shared-front
+	// chunks, both reused across groups and runSpecs calls.
 	batchGroups int
 	batchLanes  int
 	batchStates []*BatchState
@@ -709,12 +710,15 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 		}
 	}
 
-	// frontPlan is one shared front's place in the dispatch order: its
-	// groups' summed cost, then first-seen rank.
+	// frontPlan is one shared front: its length and group count, and its
+	// place in the dispatch order (its groups' summed cost, then
+	// first-seen rank).
 	type frontPlan struct {
-		front *sharedFront
-		cost  float64
-		rank  int
+		front  *sharedFront
+		n      uint64
+		groups int
+		cost   float64
+		rank   int
 	}
 	// Group by (benchmark, machine config) in first-seen order; demote
 	// cells whose config the batch executor cannot lockstep.
@@ -769,11 +773,16 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 		mc := e.suite(g.l2).MC
 		k := frontKey{g.prof.Name, mc.Warmup + mc.Instructions + traceSlack, mc.Bpred}
 		if plans[k] == nil {
-			plans[k] = &frontPlan{front: &sharedFront{pool: &e.fronts}, rank: len(plans)}
+			plans[k] = &frontPlan{n: k.n, rank: len(plans)}
 		}
 		g.plan = plans[k]
-		g.plan.front.groups.Add(1)
+		g.plan.groups++
 		g.plan.cost += g.cost
+	}
+	// Every group of a front holds each of its chunks until it has passed
+	// it, so the group count is each chunk's reference count.
+	for _, p := range plans {
+		p.front = newSharedFront(&e.fronts, p.n, p.groups)
 	}
 	sort.SliceStable(groups, func(i, j int) bool {
 		if a, b := groups[i].plan, groups[j].plan; a != b {
@@ -804,6 +813,7 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 			defer wg.Done()
 			bs := e.acquireBatchState()
 			defer e.releaseBatchState(bs)
+			var busy time.Duration
 			for g := range queue {
 				s := e.suite(g.l2)
 				if e.Events != nil {
@@ -811,12 +821,11 @@ func (e *Experiments) runBatchPhase(pending []runSpec) (remaining []runSpec, com
 						e.Events.Write(obs.Record{Type: "run_start", RunID: ln.sp.key()})
 					}
 				}
-				sf := g.plan.front
-				runBatchGroup(ctx, s.MC, g.prof, g.lanes, sf, e.Injector, bs)
-				if sf.groups.Add(-1) == 0 {
-					e.fronts.put(sf.front.Recs)
-				}
+				start := time.Now()
+				runBatchGroup(ctx, s.MC, g.prof, g.lanes, g.plan.front, e.Injector, bs)
+				busy += time.Since(start)
 			}
+			obsBatchBusy.Add(uint64(busy.Milliseconds()))
 		}()
 	}
 	for _, g := range groups {
