@@ -47,7 +47,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %q: hit latency must be >= 1", c.Name)
 	}
 	if tb := 64 - bits.TrailingZeros(uint(c.LineBytes)) - bits.TrailingZeros(uint(s)); tb > maxTagBits {
-		return fmt.Errorf("cache %q: %d-bit tag exceeds %d bits (line*sets must be at least 4 bytes)", c.Name, tb, maxTagBits)
+		return fmt.Errorf("cache %q: %d-bit tag exceeds %d bits (line*sets must be at least 512 bytes)", c.Name, tb, maxTagBits)
+	}
+	if c.Assoc > maxAssoc {
+		return fmt.Errorf("cache %q: associativity %d exceeds %d", c.Name, c.Assoc, maxAssoc)
 	}
 	return nil
 }
@@ -70,26 +73,37 @@ func (c Config) Geometry() power.CacheGeometry {
 	}
 }
 
-// Line is one cache line's bookkeeping state, packed to 16 bytes: the tag
-// word carries the valid and dirty bits in its top two bits (New rejects
-// any geometry whose tag could reach them).
+// Line is one cache line's bookkeeping state, packed into one 8-byte tag
+// word. LRU state is the line's rank in its set's recency order rather than
+// an access stamp: bits 55-61 hold the age (0 = most recently used), bit 62
+// the dirty bit and bit 63 the valid bit. The valid ways of a set always
+// hold the distinct ages 0..k-1, so the oldest valid way is exactly the
+// one with the smallest access stamp. New rejects any geometry whose tag
+// could reach the age bits, or whose ways could outnumber the ages.
 type Line struct {
-	tag     uint64
-	LastUse uint64 // access-order stamp for LRU
+	tag uint64
 }
 
 const (
 	lineValid = 1 << 63
 	lineDirty = 1 << 62
-	// maxTagBits is the widest tag that stays clear of the state bits.
-	maxTagBits = 62
+	lineAge1  = 1 << 55 // one step of age
+	lineAge   = 0x7f * lineAge1
+	lineState = lineValid | lineDirty | lineAge
+	// maxTagBits is the widest tag that stays clear of the state bits,
+	// and maxAssoc the most ways a 7-bit age can rank.
+	maxTagBits = 55
+	maxAssoc   = 128
 )
 
 func (l *Line) valid() bool { return l.tag&lineValid != 0 }
 func (l *Line) dirty() bool { return l.tag&lineDirty != 0 }
 
 // addrTag is the line's address tag without the state bits.
-func (l *Line) addrTag() uint64 { return l.tag &^ (lineValid | lineDirty) }
+func (l *Line) addrTag() uint64 { return l.tag &^ lineState }
+
+// holds reports whether the line is valid with address tag tag.
+func (l *Line) holds(tag uint64) bool { return l.tag&^(lineDirty|lineAge) == tag|lineValid }
 
 // Stats accumulates per-level event counts.
 type Stats struct {
@@ -154,8 +168,13 @@ func (m *Memory) ResetStats() {
 	m.DynJ = 0
 }
 
-// Reset returns the memory to its just-built state (run-to-run reuse).
-func (m *Memory) Reset() { m.ResetStats() }
+// Reset returns the memory to the state NewMemory leaves it in with the
+// given latency (run-to-run reuse; the access energy depends only on the
+// technology point, which does not change under reuse).
+func (m *Memory) Reset(latency int) {
+	m.Latency = latency
+	m.ResetStats()
+}
 
 // Cache is a plain (uncontrolled) set-associative write-back cache.
 type Cache struct {
@@ -169,7 +188,6 @@ type Cache struct {
 	assoc     int
 	setMask   uint64
 	lineShift uint
-	useStamp  uint64
 
 	// Observability flush state (see obs.go): counter IDs resolved once,
 	// and the Stats value at the last flush for delta computation.
@@ -199,17 +217,19 @@ func New(p *tech.Params, cfg Config, next Level) (*Cache, error) {
 	}, nil
 }
 
-// Reset returns the cache to the state New leaves it in — cold contents,
-// zero stats and energy — while keeping the line array and energy model.
-// It lets a worker reuse one cache allocation across many runs (the L2's
-// line array is the dominant per-run allocation). next replaces the
+// Reset returns the cache to the state New(p, cfg, next) leaves it in —
+// cold contents, zero stats and energy — while keeping the line array and
+// energy model. It lets a worker reuse one cache allocation across many
+// runs (the L2's line array is the dominant per-run allocation). cfg must
+// have the geometry the cache was built with; its latency may differ, and
+// the energy model depends only on the geometry. next replaces the
 // downstream level, which may itself have been reset.
-func (c *Cache) Reset(next Level) {
+func (c *Cache) Reset(cfg Config, next Level) {
+	c.Cfg = cfg
 	c.Next = next
 	c.Stats = Stats{}
 	c.DynJ = 0
 	clear(c.lines)
-	c.useStamp = 0
 	c.obsPrev = Stats{}
 }
 
@@ -256,15 +276,14 @@ func (c *Cache) set(s uint64) []Line {
 // write-allocate fill.
 func (c *Cache) Access(addr uint64, write bool, cycle uint64) int {
 	c.Stats.Accesses++
-	c.useStamp++
 	set, tag := c.Index(addr)
 	ways := c.set(set)
 
 	for i := range ways {
 		l := &ways[i]
-		if l.tag&^lineDirty == tag|lineValid {
+		if l.holds(tag) {
 			c.Stats.Hits++
-			l.LastUse = c.useStamp
+			promote(ways, i)
 			if write {
 				l.tag |= lineDirty
 				c.DynJ += c.Energy.WriteHit
@@ -286,8 +305,27 @@ func (c *Cache) Access(addr uint64, write bool, cycle uint64) int {
 	return lat
 }
 
-// fill installs addr's line into set, evicting the LRU way (writing back a
-// dirty victim).
+// promote makes way w the set's most recently used: every valid way more
+// recent than w ages by one and w's age becomes 0. An invalid w counts as
+// older than every valid way; a valid w of age 0 is already the most
+// recent, which is the common hit.
+func promote(ways []Line, w int) {
+	age := ways[w].tag & lineAge
+	if !ways[w].valid() {
+		age = lineAge + lineAge1
+	} else if age == 0 {
+		return
+	}
+	for i := range ways {
+		if t := ways[i].tag; t&lineValid != 0 && t&lineAge < age {
+			ways[i].tag = t + lineAge1
+		}
+	}
+	ways[w].tag &^= lineAge
+}
+
+// fill installs addr's line into set, evicting the LRU way — the first
+// invalid way, else the oldest — and writing back a dirty victim.
 func (c *Cache) fill(set, tag uint64, write bool, cycle uint64) {
 	ways := c.set(set)
 	victim := 0
@@ -296,7 +334,7 @@ func (c *Cache) fill(set, tag uint64, write bool, cycle uint64) {
 			victim = i
 			break
 		}
-		if ways[i].LastUse < ways[victim].LastUse {
+		if ways[i].tag&lineAge > ways[victim].tag&lineAge {
 			victim = i
 		}
 	}
@@ -304,7 +342,8 @@ func (c *Cache) fill(set, tag uint64, write bool, cycle uint64) {
 	if v.valid() && v.dirty() {
 		c.writeback(set, v, cycle)
 	}
-	*v = Line{tag: tag | lineValid, LastUse: c.useStamp}
+	promote(ways, victim)
+	v.tag = tag | lineValid
 	if write {
 		v.tag |= lineDirty
 	}
@@ -330,7 +369,7 @@ func (c *Cache) writeback(set uint64, v *Line, cycle uint64) {
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.Index(addr)
 	for _, l := range c.set(set) {
-		if l.tag&^lineDirty == tag|lineValid {
+		if l.holds(tag) {
 			return true
 		}
 	}

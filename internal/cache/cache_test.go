@@ -232,10 +232,10 @@ func TestInvalidConfigIsAnError(t *testing.T) {
 }
 
 // TestLinePacked pins the packed line layout: the L2's line array is the
-// largest per-lane allocation, at 16 bytes a line.
+// largest per-lane allocation, at 8 bytes a line.
 func TestLinePacked(t *testing.T) {
-	if got := unsafe.Sizeof(Line{}); got != 16 {
-		t.Fatalf("sizeof(Line) = %d, want 16", got)
+	if got := unsafe.Sizeof(Line{}); got != 8 {
+		t.Fatalf("sizeof(Line) = %d, want 8", got)
 	}
 }
 
@@ -251,30 +251,35 @@ func (l *addrLog) Access(addr uint64, write bool, cycle uint64) int {
 func (l *addrLog) Name() string { return "log" }
 
 // TestNewRejectsWideTags checks that New refuses every geometry whose tag
-// could reach bit 62, where the line's state bits live, and that the
-// widest accepted tag (62 bits) keeps the top address intact: it hits,
-// and its dirty eviction writes back the exact line address.
+// could reach bit 55, where the line's age and state bits start, and every
+// associativity the 7-bit age cannot rank, and that the widest accepted tag
+// (55 bits) keeps the top address intact: it hits, and its dirty eviction
+// writes back the exact line address.
 func TestNewRejectsWideTags(t *testing.T) {
-	for _, g := range []struct{ line, sets int }{{1, 1}, {2, 1}, {1, 2}} {
+	for _, g := range []struct{ line, sets int }{{1, 1}, {2, 1}, {1, 2}, {256, 1}, {64, 4}, {1, 256}} {
 		cfg := Config{Name: "wide", SizeBytes: g.line * g.sets, LineBytes: g.line, Assoc: 1, HitLatency: 1}
 		if _, err := New(p70(), cfg, nil); err == nil {
 			t.Errorf("line %d B x %d sets: %d-bit tag accepted", g.line, g.sets, 64-bits.TrailingZeros(uint(g.line*g.sets)))
 		}
 	}
-	next := new(addrLog)
-	c, err := New(p70(), Config{Name: "edge", SizeBytes: 4, LineBytes: 4, Assoc: 1, HitLatency: 1}, next)
-	if err != nil {
-		t.Fatalf("62-bit tag rejected: %v", err)
+	wide := Config{Name: "ways", SizeBytes: 64 * (maxAssoc * 2) * 8, LineBytes: 64, Assoc: maxAssoc * 2, HitLatency: 1}
+	if _, err := New(p70(), wide, nil); err == nil {
+		t.Errorf("%d ways accepted", wide.Assoc)
 	}
-	top := ^uint64(3)
+	next := new(addrLog)
+	c, err := New(p70(), Config{Name: "edge", SizeBytes: 512, LineBytes: 64, Assoc: 1, HitLatency: 1}, next)
+	if err != nil {
+		t.Fatalf("55-bit tag rejected: %v", err)
+	}
+	top := ^uint64(63)
 	c.Access(top, true, 1)
-	if !c.Contains(top) || c.Contains(0) {
+	if !c.Contains(top) || c.Contains(top&^(1<<63)) || c.Contains(top&^(1<<55)) {
 		t.Fatal("top line not held exactly")
 	}
 	if lat := c.Access(top|1, false, 2); lat != 1 {
 		t.Fatalf("re-access of the top line took %d cycles, want a hit", lat)
 	}
-	c.Access(0, false, 3) // evicts the dirty top line
+	c.Access(top&^(1<<63), false, 3) // same set: evicts the dirty top line
 	if len(next.writes) != 1 || next.writes[0] != top {
 		t.Fatalf("writebacks %#x, want [%#x]", next.writes, top)
 	}

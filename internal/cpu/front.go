@@ -20,6 +20,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -51,18 +52,30 @@ const (
 	FrontTaken
 )
 
-// FrontRec is one precomputed instruction, packed to 32 bytes: the
+// FrontRec is one precomputed instruction, packed to 16 bytes: the
 // decoded fields replay reads plus the variant-independent front-end
 // outcome flags. The CTI target is not kept — the predictor consumes it
 // during the fill and replay never reads it.
+//
+// PC and Addr hold 32 bits: the fill panics on a wider value (the
+// generated streams stay far below 2^32), which fails the front like any
+// other fill error. Src1/Src2 are dependence distances clamped at
+// FrontMaxDist. The clamp is exact: a distance past the RUU ring names a
+// producer that has committed by the time its consumer reads it, which
+// readyTime treats like no dependence, and AttachFront refuses any core
+// whose ring could reach FrontMaxDist.
 type FrontRec struct {
-	PC, Addr   uint64
-	Src1, Src2 int32
+	PC, Addr   uint32
+	Src1, Src2 uint16
 	Op         workload.OpClass
 	Flags      uint8
+	_          [2]byte
 }
 
-// FrontChunkShift sizes a front chunk: 1<<16 records, 2 MiB.
+// FrontMaxDist is the largest dependence distance a FrontRec holds.
+const FrontMaxDist = 0xFFFF
+
+// FrontChunkShift sizes a front chunk: 1<<16 records, 1 MiB.
 const (
 	FrontChunkShift = 16
 	FrontChunkLen   = 1 << FrontChunkShift
@@ -218,7 +231,14 @@ func (f *Front) fillNext() *FrontChunk {
 				flags |= FrontBPBTBMiss
 			}
 		}
-		recs[i] = FrontRec{PC: ins.PC, Addr: ins.Addr, Src1: ins.Src1, Src2: ins.Src2, Op: ins.Op, Flags: flags}
+		if ins.PC > math.MaxUint32 || ins.Addr > math.MaxUint32 {
+			panic(fmt.Sprintf("record %d: PC %#x or address %#x does not fit 32 bits", base+uint64(i), ins.PC, ins.Addr))
+		}
+		recs[i] = FrontRec{
+			PC: uint32(ins.PC), Addr: uint32(ins.Addr),
+			Src1: frontDist(ins.Src1), Src2: frontDist(ins.Src2),
+			Op: ins.Op, Flags: flags,
+		}
 	}
 	f.chunks[k].Store(c)
 	f.filled++
@@ -236,17 +256,31 @@ func (f *Front) fillNext() *FrontChunk {
 	return c
 }
 
+// frontDist clamps a dependence distance to a FrontRec field. It reads
+// the distance as fetch does, as an unsigned 32-bit value.
+func frontDist(d int32) uint16 {
+	return uint16(min(uint32(d), FrontMaxDist))
+}
+
 // AttachFront switches the core into replay mode: fetch consumes the
 // precomputed records (from the beginning) instead of generating and
 // predicting live. The core's own Gen and Pred are not touched in this
 // mode; per-run predictor statistics accumulate in Core.BP from the
 // recorded deltas. Recycle detaches any front (the rebuilt core starts in
 // live mode), so a reused lane must re-attach per run.
-func (c *Core) AttachFront(f *Front) {
+//
+// A core whose RUU ring is FrontMaxDist slots or longer is refused: its
+// window could hold a producer at the clamped distance, so the clamp would
+// no longer be exact. Such a core runs on the live path instead.
+func (c *Core) AttachFront(f *Front) error {
+	if c.ringMask >= FrontMaxDist-1 {
+		return fmt.Errorf("cpu: a %d-slot RUU ring exceeds the front's %d-instruction dependence range", c.ringMask+1, FrontMaxDist)
+	}
 	c.front = f
 	c.frontPos = 0
 	c.frontEnd = 0
 	c.frontCur = nil
+	return nil
 }
 
 // FrontPos returns how many front records the core has fetched: it never
@@ -305,24 +339,24 @@ func (c *Core) fetchReplay(cycle uint64) bool {
 		seq := c.nextSeq
 		c.nextSeq = seq + 1
 		s := seq & mask
-		if d := uint64(uint32(rec.Src1)); d != 0 && seq > d {
+		if d := uint64(rec.Src1); d != 0 && seq > d {
 			c.src1[s] = seq - d
 		} else {
 			c.src1[s] = 0
 		}
-		if d := uint64(uint32(rec.Src2)); d != 0 && seq > d {
+		if d := uint64(rec.Src2); d != 0 && seq > d {
 			c.src2[s] = seq - d
 		} else {
 			c.src2[s] = 0
 		}
-		c.addr[s] = rec.Addr
+		c.addr[s] = uint64(rec.Addr)
 		c.ops[s] = rec.Op
 
 		stop := false
 		flags := rec.Flags
 
 		if flags&FrontICAccess != 0 {
-			if lat := c.ICache.Access(rec.PC, false, cycle); lat > c.ICache.HitLat() {
+			if lat := c.ICache.Access(uint64(rec.PC), false, cycle); lat > c.ICache.HitLat() {
 				c.Stats.ICacheStalls++
 				c.fetchStall = cycle + uint64(lat)
 				stop = true

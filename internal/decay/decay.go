@@ -124,9 +124,8 @@ type Machine struct {
 // New builds a decay machine for lines cache lines with the given interval
 // in cycles. interval == 0 disables decay entirely.
 func New(lines int, interval uint64, policy Policy) *Machine {
-	m := &Machine{policy: policy, lines: lines}
-	m.initLazy()
-	m.setInterval(interval, 0)
+	m := new(Machine)
+	m.Reset(lines, interval, policy, false)
 	return m
 }
 
@@ -135,26 +134,65 @@ func New(lines int, interval uint64, policy Policy) *Machine {
 // proves premature (an induced miss / slow hit) and demoted when a decayed
 // line dies for real. Only the noaccess policy makes sense here.
 func NewPerLine(lines int, baseInterval uint64) *Machine {
-	m := &Machine{policy: PolicyNoAccess, lines: lines, perLine: true}
-	m.sel = make([]uint8, lines)
-	m.initLazy()
-	m.setInterval(baseInterval, 0)
+	m := new(Machine)
+	m.Reset(lines, baseInterval, PolicyNoAccess, true)
 	return m
 }
 
-// initLazy allocates the lazy per-line state and files every line's initial
+// Reset returns m to the state New(lines, interval, policy) leaves a
+// machine in, or NewPerLine(lines, interval) when perLine is set (which
+// implies PolicyNoAccess). The per-line arrays are reused when they are
+// large enough, so resetting a machine for the next run of the same cache
+// allocates nothing; slices the new mode does not use keep their storage
+// at length zero.
+func (m *Machine) Reset(lines int, interval uint64, policy Policy, perLine bool) {
+	if perLine {
+		policy = PolicyNoAccess
+	}
+	*m = Machine{
+		policy:    policy,
+		lines:     lines,
+		perLine:   perLine,
+		sel:       m.sel[:0],
+		snapEpoch: m.snapEpoch[:0],
+		snapCnt:   m.snapCnt[:0],
+		expired:   m.expired[:0],
+		wheelHead: m.wheelHead[:0],
+		wheelNext: m.wheelNext[:0],
+		filedAt:   m.filedAt[:0],
+		fireBuf:   m.fireBuf[:0],
+	}
+	if perLine {
+		m.sel = resize(m.sel, lines)
+	}
+	m.initLazy()
+	m.setInterval(interval, 0)
+}
+
+// resize returns s at length n with every element zero, reusing its
+// storage when the capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// initLazy sizes the lazy per-line state and files every line's initial
 // expiry entry. PolicySimple keeps no per-line state.
 func (m *Machine) initLazy() {
 	if m.policy == PolicySimple {
 		return
 	}
 	n := m.lines
-	m.snapEpoch = make([]uint64, n)
-	m.snapCnt = make([]uint16, n)
-	m.expired = make([]bool, n)
-	m.wheelHead = make([]int32, wheelBuckets)
-	m.wheelNext = make([]int32, n)
-	m.filedAt = make([]uint64, n)
+	m.snapEpoch = resize(m.snapEpoch, n)
+	m.snapCnt = resize(m.snapCnt, n)
+	m.expired = resize(m.expired, n)
+	m.wheelHead = resize(m.wheelHead, wheelBuckets)
+	m.wheelNext = resize(m.wheelNext, n)
+	m.filedAt = resize(m.filedAt, n)
 	for b := range m.wheelHead {
 		m.wheelHead[b] = -1
 	}

@@ -330,10 +330,12 @@ func New(p *tech.Params, cfg cache.Config, params Params, next cache.Level) (*DC
 }
 
 // Reset returns the cache to the state New(p, d.Cfg, params, next) leaves
-// it in, reusing the line array (run-to-run reuse). The geometry (Cfg) is
-// fixed at construction; technique parameters and the technology point may
-// change between runs, so the energy models and the decay machine are
-// rebuilt. The Adapter, set externally after New, is cleared the same way.
+// it in, reusing the line arrays and the decay machine's storage
+// (run-to-run reuse). The geometry (Cfg) is fixed at construction;
+// technique parameters and the technology point may change between runs,
+// so the energy models are rebuilt and the decay machine is reset in place
+// to the one New would build. The Adapter, set externally after New, is
+// cleared the same way.
 func (d *DCache) Reset(p *tech.Params, params Params, next cache.Level) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -341,11 +343,7 @@ func (d *DCache) Reset(p *tech.Params, params Params, next cache.Level) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	nlines := len(d.flags)
-	machine := decay.New(nlines, params.Interval, params.Policy)
-	if params.PerLineAdaptive && params.Interval != 0 {
-		machine = decay.NewPerLine(nlines, params.Interval)
-	}
+	d.Machine.Reset(len(d.flags), params.Interval, params.Policy, params.PerLineAdaptive && params.Interval != 0)
 	d.P = params
 	d.Next = next
 	d.Stats = Stats{}
@@ -355,7 +353,6 @@ func (d *DCache) Reset(p *tech.Params, params Params, next cache.Level) error {
 	d.nextAdapt = 0
 	d.AccessE = power.NewCacheEnergy(p, d.Cfg.Geometry())
 	d.TechE = power.NewTechniqueEnergy(p, d.Cfg.LineBytes, params.Technique == TechGated)
-	d.Machine = machine
 	clear(d.tags)
 	clear(d.lastUse)
 	clear(d.flags)

@@ -230,7 +230,10 @@ func runBatchGroup(ctx context.Context, mc MachineConfig, prof workload.Profile,
 			ln.err = err
 			continue
 		}
-		m.core.AttachFront(sf.front)
+		if err := m.core.AttachFront(sf.front); err != nil {
+			ln.err = err
+			continue
+		}
 		lr := &laneRun{ln: ln, m: m, params: params, inWarmup: mc.Warmup > 0}
 		if lr.inWarmup {
 			lr.left = mc.Warmup

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hotleakage/internal/cpu"
 	"hotleakage/internal/harness/faultinject"
 	"hotleakage/internal/leakctl"
 	"hotleakage/internal/obs"
@@ -336,5 +337,62 @@ func TestBatchFeedsWorkerBusy(t *testing.T) {
 	}
 	if counter(obs.MetricWorkerBusyMS) <= busy0 {
 		t.Fatal("a fully batched run did not raise harness_worker_busy_ms_total")
+	}
+}
+
+// TestBatchFrontRecordRange covers the edges of the 16-byte front record.
+// A benchmark whose dependence distances often exceed the record's 16-bit
+// field must still match scalar execution lane for lane, because the
+// clamped distance names a producer that has committed either way. A
+// benchmark whose data addresses pass 2^32 must fail its front fill, so
+// every lane goes back to the scalar path.
+func TestBatchFrontRecordRange(t *testing.T) {
+	ctx := context.Background()
+	mc := parityMachine(11)
+	runGroup := func(prof workload.Profile) []*batchLane {
+		specs := batchSpecs(prof, 11, []uint64{4096})
+		lanes := make([]*batchLane, len(specs))
+		for i, sp := range specs {
+			lanes[i] = &batchLane{sp: sp}
+		}
+		runBatchGroup(ctx, mc, prof, lanes, testFront(t, mc, 1), nil, new(BatchState))
+		return lanes
+	}
+
+	far, _ := workload.ByName("gcc")
+	far.DepP = 1e-5 // mean distance 100k instructions
+	gen := workload.NewGenerator(far)
+	var ins workload.Instr
+	clamped := 0
+	for i := uint64(0); i < mc.Warmup+mc.Instructions; i++ {
+		if gen.Next(&ins); ins.Src1 > cpu.FrontMaxDist {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no dependence distance reaches the clamp; the case tests nothing")
+	}
+	for _, ln := range runGroup(far) {
+		if ln.err != nil {
+			t.Fatalf("long-distance lane %s: %v", ln.sp.key(), ln.err)
+		}
+		want, err := RunOne(ctx, mc, far, leakctl.DefaultParams(ln.sp.tech, ln.sp.interval), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, ln.res) {
+			t.Fatalf("%s: a lane with clamped dependence distances diverged from scalar", ln.sp.key())
+		}
+	}
+
+	// Churning a 2^16-line hot pool on every memory access walks the
+	// fresh-line allocator 4 MiB per access, past 2^32 within the first
+	// chunk.
+	wide, _ := workload.ByName("gcc")
+	wide.HotLines, wide.ChurnPeriod, wide.ChurnFrac = 1<<16, 1, 1
+	for _, ln := range runGroup(wide) {
+		if ln.err == nil || !strings.Contains(ln.err.Error(), "batch front fill") || !strings.Contains(ln.err.Error(), "32 bits") {
+			t.Fatalf("wide-address lane %s: error %v, want the front fill failure", ln.sp.key(), ln.err)
+		}
 	}
 }

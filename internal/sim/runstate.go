@@ -40,17 +40,20 @@ type RunState struct {
 	valid bool
 }
 
-// machineEqual reports whether two machine descriptions build identical
-// hardware (every configuration struct is all-scalar, so value comparison
-// is exact). Warmup/Instructions are excluded: they shape the run, not the
-// components.
+// machineEqual reports whether two machine descriptions build the same
+// components up to the latencies reuse applies on reset (every
+// configuration struct is all-scalar, so value comparison is exact). The
+// L2 hit latency and the memory latency are excluded: no allocation or
+// energy model depends on them, and reuse sets them. Warmup/Instructions
+// are excluded too: they shape the run, not the components.
 func machineEqual(a, b MachineConfig) bool {
 	if a.Tech == nil || b.Tech == nil || *a.Tech != *b.Tech {
 		return false
 	}
+	l2a, l2b := a.L2, b.L2
+	l2a.HitLatency, l2b.HitLatency = 0, 0
 	if a.CPU != b.CPU || a.Bpred != b.Bpred ||
-		a.L1I != b.L1I || a.L1D != b.L1D || a.L2 != b.L2 ||
-		a.MemLatency != b.MemLatency {
+		a.L1I != b.L1I || a.L1D != b.L1D || l2a != l2b {
 		return false
 	}
 	if (a.IL1Control == nil) != (b.IL1Control == nil) {
@@ -124,12 +127,13 @@ func buildMachine(mc MachineConfig, src cpu.InstrSource, params leakctl.Params, 
 	return m, nil
 }
 
-// reuse resets every cached component to its just-built state and rewires
-// it for the new run.
+// reuse resets every cached component to the state buildMachine(mc, ...)
+// would leave it in, latencies included, and rewires it for the new run.
 func (st *RunState) reuse(mc MachineConfig, src cpu.InstrSource, params leakctl.Params, adapter leakctl.Adapter) (machine, error) {
 	m := st.m
-	m.mem.Reset()
-	m.l2.Reset(m.mem)
+	st.mc = mc
+	m.mem.Reset(mc.MemLatency)
+	m.l2.Reset(mc.L2, m.mem)
 	if err := m.dl1.Reset(mc.Tech, params, m.l2); err != nil {
 		return machine{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
@@ -143,7 +147,7 @@ func (st *RunState) reuse(mc MachineConfig, src cpu.InstrSource, params leakctl.
 		}
 		l1i = m.il1Ctl
 	} else {
-		m.il1Plain.Reset(m.l2)
+		m.il1Plain.Reset(mc.L1I, m.l2)
 		l1i = m.il1Plain
 	}
 	m.pred.Reset()

@@ -61,27 +61,38 @@ func TestTraceReplayParityAllProfiles(t *testing.T) {
 
 // TestRunStateReuseParity drives one RunState through a sequence of
 // heterogeneous runs — technique changes, interval changes, benchmark
-// changes, an I-cache-controlled machine, an L2 latency change — and
-// checks each against a fresh-build run. Reused components must be
+// changes, an I-cache-controlled machine, L2 and memory latency changes —
+// and checks each against a fresh-build run. Reused components must be
 // indistinguishable from new ones even when consecutive runs differ in
-// every dimension the reset paths touch.
+// every dimension the reset paths touch. The latency cases each follow a
+// run of the same geometry, and must reuse its components rather than
+// rebuild them: reuse applies the new latencies on reset.
 func TestRunStateReuseParity(t *testing.T) {
 	il1 := leakctl.DefaultParams(leakctl.TechDrowsy, 4096)
 	mcIL1 := parityMachine(11)
 	mcIL1.IL1Control = &il1
+	slowMem := parityMachine(17)
+	slowMem.MemLatency = 160
 	cases := []struct {
-		name string
-		mc   MachineConfig
-		prof string
-		tech leakctl.Technique
-		iv   uint64
+		name    string
+		mc      MachineConfig
+		prof    string
+		tech    leakctl.Technique
+		iv      uint64
+		reuse   bool // same geometry as the previous case: must not rebuild
+		perLine bool
 	}{
-		{"gated-gcc", parityMachine(11), "gcc", leakctl.TechGated, 4096},
-		{"drowsy-gcc", parityMachine(11), "gcc", leakctl.TechDrowsy, 4096},
-		{"drowsy-mcf-iv16k", parityMachine(11), "mcf", leakctl.TechDrowsy, 16384},
-		{"baseline-gzip", parityMachine(11), "gzip", leakctl.TechNone, 0},
-		{"il1-controlled", mcIL1, "gcc", leakctl.TechGated, 4096},
-		{"l2-latency-5", parityMachine(5), "gcc", leakctl.TechGated, 4096},
+		{"gated-gcc", parityMachine(11), "gcc", leakctl.TechGated, 4096, false, false},
+		{"drowsy-gcc", parityMachine(11), "gcc", leakctl.TechDrowsy, 4096, false, false},
+		{"drowsy-mcf-iv16k", parityMachine(11), "mcf", leakctl.TechDrowsy, 16384, false, false},
+		{"baseline-gzip", parityMachine(11), "gzip", leakctl.TechNone, 0, false, false},
+		{"il1-controlled", mcIL1, "gcc", leakctl.TechGated, 4096, false, false},
+		{"plain-after-il1", parityMachine(11), "gcc", leakctl.TechDrowsy, 4096, false, false},
+		{"l2-latency-5", parityMachine(5), "gcc", leakctl.TechGated, 4096, true, false},
+		{"l2-latency-17", parityMachine(17), "mcf", leakctl.TechDrowsy, 1024, true, false},
+		{"mem-latency-160", slowMem, "mcf", leakctl.TechGated, 1024, true, false},
+		{"perline-gated", slowMem, "gcc", leakctl.TechGated, 1024, true, true},
+		{"plain-after-perline", slowMem, "gcc", leakctl.TechDrowsy, 2048, true, false},
 	}
 	ctx := context.Background()
 	st := new(RunState)
@@ -91,17 +102,61 @@ func TestRunStateReuseParity(t *testing.T) {
 			t.Fatalf("%s: unknown profile %q", c.name, c.prof)
 		}
 		params := leakctl.DefaultParams(c.tech, c.iv)
+		params.PerLineAdaptive = c.perLine
 		fresh, err := RunOne(ctx, c.mc, prof, params, nil)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", c.name, err)
 		}
+		before := st.m.l2
 		reused, err := runOneFromState(ctx, c.mc, prof.Name, workload.NewGenerator(prof), params, nil, st)
 		if err != nil {
 			t.Fatalf("%s reused: %v", c.name, err)
 		}
+		if c.reuse && st.m.l2 != before {
+			t.Fatalf("%s: a latency change rebuilt the machine", c.name)
+		}
 		if !reflect.DeepEqual(fresh, reused) {
 			t.Fatalf("%s: state reuse diverged\nfresh  %+v\nreused %+v", c.name, fresh, reused)
 		}
+	}
+}
+
+// TestAssembleReuseAllocatesNothing pins allocation-free lane reuse: once a
+// RunState has built its machine, reassembling it across L2 latencies and
+// techniques — the shape of a sweep's lane sequence — allocates nothing.
+func TestAssembleReuseAllocatesNothing(t *testing.T) {
+	st := new(RunState)
+	type run struct {
+		mc     MachineConfig
+		params leakctl.Params
+	}
+	var runs []run
+	for _, l2 := range []int{5, 8, 11, 17} {
+		for _, tech := range []leakctl.Technique{leakctl.TechNone, leakctl.TechDrowsy, leakctl.TechGated} {
+			iv := uint64(4096)
+			if tech == leakctl.TechNone {
+				iv = 0
+			}
+			runs = append(runs, run{parityMachine(l2), leakctl.DefaultParams(tech, iv)})
+		}
+	}
+	for _, r := range runs { // the first pass builds and sizes everything
+		if _, err := assemble(r.mc, nil, r.params, nil, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := st.m.l2
+	for _, r := range runs {
+		if a := testing.AllocsPerRun(10, func() {
+			if _, err := assemble(r.mc, nil, r.params, nil, st); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("L2 %d, %s: assemble allocated %v times on reuse", r.mc.L2.HitLatency, r.params.Technique, a)
+		}
+	}
+	if st.m.l2 != built {
+		t.Fatal("a reassembly rebuilt the machine")
 	}
 }
 
